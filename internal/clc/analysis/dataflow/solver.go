@@ -297,7 +297,7 @@ func (f *Facts) influenced() []bool {
 		if t.Op != ir.JmpIf && t.Op != ir.JmpIfZ {
 			continue
 		}
-		if !f.exec[[2]int{b, 0}] || !f.exec[[2]int{b, 1}] {
+		if !f.executable(b, 0) || !f.executable(b, 1) {
 			continue
 		}
 		if !f.CondDivergent(term) {
@@ -322,6 +322,9 @@ func (f *Facts) influenced() []bool {
 	}
 	return out
 }
+
+// executable reports whether successor edge si of block b can run.
+func (f *Facts) executable(b, si int) bool { return f.exec[[2]int{b, si}] }
 
 // EnvBefore returns the environment immediately before instruction i.
 // The result is a fresh snapshot the caller may keep. Returns nil when
