@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-sched short bench bench-malid bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
+.PHONY: build vet test race race-sched short bench bench-admission bench-malid bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
 
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 30s
@@ -40,6 +40,14 @@ bench:
 # verify rather than the next baseline refresh.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 1x ./internal/vm >/dev/null
+
+# Layer-level cost of a cold optimizing admission: compile, the
+# analyzer gate and the transform pipeline over one cycle of the
+# nine-benchmark job mix, plus one sub-benchmark per mix kernel, with
+# allocation counts. CI runs it at BENCHTIME=1x so the harness cannot rot.
+BENCHTIME ?= 1s
+bench-admission:
+	$(GO) test -run xxx -bench BenchmarkColdAdmission -benchmem -benchtime $(BENCHTIME) ./internal/service/progcache
 
 # Static checks: Go hygiene, the repository self-lint (no unexplained
 # map iteration or time.Now in deterministic paths — cmd/repolint),
