@@ -148,7 +148,10 @@
 // in the work-item ids and divergence facts through branches, loops
 // and inlined helper calls, so races are proven by index separation
 // across barrier phases and bounds findings cover interval-derived
-// overruns, not just literal constants. Diagnostics carry a source
+// overruns, not just literal constants. The solver's per-point state
+// is dense, one entry per register slot with top as the zero entry,
+// so copying a state is a single copy and a join a linear sweep over
+// the kernel's registers. Diagnostics carry a source
 // position, a severity and a fix hint; FormatDiagnostics and
 // FormatDiagnosticsJSON render them, MaxDiagnosticSeverity gates them,
 // and AnalysisPasses lists the registry (AnalyzeWith restricts a run

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"sort"
 
 	"maligo/internal/clc/ir"
@@ -10,25 +11,27 @@ import (
 // definitions over (bank, slot) pairs. Because lowering reuses slots
 // for named variables, a use can see several reaching definitions;
 // the chains enumerate all of them.
+//
+// The reaching sets are dense bitsets over definition points, one
+// point per (defining instruction, slot it writes). Points are
+// numbered slot by slot — integer slots first, then float slots — and
+// in code order within a slot, so the definitions of one slot are a
+// contiguous run.
 type DefUse struct {
-	g *Graph
-	// in[b] maps a slot key to the definition instruction indices that
-	// reach the entry of block b.
-	in []map[regKey][]int
+	g    *Graph
+	numI int
+	// first[k] is the first point of slot key k (an integer slot s has
+	// key s, a float slot NumI+s); first[k+1] ends its run.
+	first []int
+	site  []int    // point -> defining instruction
+	in    []bitset // per block: points reaching its entry
 }
 
-type regKey struct {
-	bank int
-	slot int32
-}
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
 
-func keysOf(r ir.RegRef) []regKey {
-	ks := make([]regKey, r.Width)
-	for i := int32(0); i < r.Width; i++ {
-		ks[i] = regKey{r.Bank, r.Slot + i}
-	}
-	return ks
-}
+func (s bitset) add(p int)      { s[p/64] |= 1 << (p % 64) }
+func (s bitset) has(p int) bool { return s[p/64]&(1<<(p%64)) != 0 }
 
 // DefUse lazily computes and caches the def-use chains.
 func (f *Facts) DefUse() *DefUse {
@@ -38,53 +41,94 @@ func (f *Facts) DefUse() *DefUse {
 	return f.du
 }
 
-func buildDefUse(g *Graph) *DefUse {
-	code := g.Kernel.Code
-	du := &DefUse{g: g, in: make([]map[regKey][]int, len(g.Blocks))}
+// key returns the dense slot key of one register slot, or -1 outside
+// the kernel's banks.
+func (du *DefUse) key(bank int, slot int32) int {
+	k := int(slot)
+	if bank == ir.BankF {
+		k += du.numI
+	}
+	if slot < 0 || k >= len(du.first)-1 || (bank == ir.BankI && k >= du.numI) {
+		return -1
+	}
+	return k
+}
 
-	// Per-block gen sets: last definition of each slot in the block.
-	gen := make([]map[regKey]int, len(g.Blocks))
+func buildDefUse(g *Graph) *DefUse {
+	k := g.Kernel
+	code := k.Code
+	du := &DefUse{g: g, numI: k.NumI, first: make([]int, k.NumI+k.NumF+1)}
+
+	// Number the definition points: count per slot, then fill each
+	// slot's run in code order.
+	for i := range code {
+		if d, ok := ir.Def(&code[i]); ok {
+			for s := d.Slot; s < d.Slot+d.Width; s++ {
+				kk := du.key(d.Bank, s)
+				if kk < 0 {
+					panic(fmt.Sprintf("dataflow: %s instr %d writes bank %d slot %d outside I=%d F=%d",
+						k.Name, i, d.Bank, s, k.NumI, k.NumF))
+				}
+				du.first[kk+1]++
+			}
+		}
+	}
+	for i := 1; i < len(du.first); i++ {
+		du.first[i] += du.first[i-1]
+	}
+	npts := du.first[len(du.first)-1]
+	du.site = make([]int, npts)
+	next := append([]int(nil), du.first[:len(du.first)-1]...)
+	for i := range code {
+		if d, ok := ir.Def(&code[i]); ok {
+			for s := d.Slot; s < d.Slot+d.Width; s++ {
+				kk := du.key(d.Bank, s)
+				du.site[next[kk]] = i
+				next[kk]++
+			}
+		}
+	}
+
+	// Per-block gen (the last definition of each slot written in the
+	// block) and kill (every definition of those slots) sets.
+	nb := len(g.Blocks)
+	words := (npts + 63) / 64
+	sets := make([]uint64, 4*nb*words)
+	set := func(i int) bitset { return bitset(sets[i*words : (i+1)*words]) }
+	gen, kill, out := make([]bitset, nb), make([]bitset, nb), make([]bitset, nb)
+	du.in = make([]bitset, nb)
+	for b := 0; b < nb; b++ {
+		gen[b], kill[b], out[b], du.in[b] = set(4*b), set(4*b+1), set(4*b+2), set(4*b+3)
+	}
+	last := make([]int, len(du.first)-1) // slot key -> last in-block def + 1
 	for _, b := range g.Blocks {
-		m := map[regKey]int{}
+		var written []int
 		for i := b.Start; i < b.End; i++ {
 			if d, ok := ir.Def(&code[i]); ok {
-				for _, k := range keysOf(d) {
-					m[k] = i
-				}
-			}
-		}
-		gen[b.ID] = m
-	}
-
-	merge := func(dst map[regKey][]int, src map[regKey][]int) bool {
-		changed := false
-		for k, defs := range src { // maligo:allow maporder per-key def lists merge independently
-			have := dst[k]
-			for _, d := range defs {
-				found := false
-				for _, h := range have {
-					if h == d {
-						found = true
-						break
+				for s := d.Slot; s < d.Slot+d.Width; s++ {
+					kk := du.key(d.Bank, s)
+					if last[kk] == 0 {
+						written = append(written, kk)
 					}
-				}
-				if !found {
-					have = append(have, d)
-					changed = true
+					last[kk] = i + 1
 				}
 			}
-			dst[k] = have
 		}
-		return changed
+		for _, kk := range written {
+			for p := du.first[kk]; p < du.first[kk+1]; p++ {
+				kill[b.ID].add(p)
+				if du.site[p] == last[kk]-1 {
+					gen[b.ID].add(p)
+				}
+			}
+			last[kk] = 0
+		}
 	}
 
-	out := make([]map[regKey][]int, len(g.Blocks))
-	for i := range out {
-		out[i] = map[regKey][]int{}
-	}
-	du.in[0] = map[regKey][]int{}
+	// Iterate out = gen ∪ (in − kill), in = ∪ out(preds) to the least
+	// fixpoint.
 	work := append([]int(nil), g.RPO...)
-	queued := make([]bool, len(g.Blocks))
+	queued := make([]bool, nb)
 	for _, b := range work {
 		queued[b] = true
 	}
@@ -92,34 +136,27 @@ func buildDefUse(g *Graph) *DefUse {
 		b := work[0]
 		work = work[1:]
 		queued[b] = false
-		if du.in[b] == nil {
-			du.in[b] = map[regKey][]int{}
-		}
-		// out = gen ∪ (in minus killed)
-		newOut := map[regKey][]int{}
-		for k, defs := range du.in[b] { // maligo:allow maporder distinct keys fill another map
-			if _, killed := gen[b][k]; !killed {
-				newOut[k] = defs
-			}
-		}
-		for k, d := range gen[b] { // maligo:allow maporder distinct keys fill another map
-			newOut[k] = []int{d}
-		}
 		changed := false
-		for k, defs := range newOut { // maligo:allow maporder per-key merges commute
-			if merge(out[b], map[regKey][]int{k: defs}) {
+		for w := range out[b] {
+			nw := out[b][w] | gen[b][w] | du.in[b][w]&^kill[b][w]
+			if nw != out[b][w] {
+				out[b][w] = nw
 				changed = true
 			}
 		}
-		if !changed && len(out[b]) > 0 {
+		if !changed {
 			// No growth; successors already saw this state.
 			continue
 		}
 		for _, s := range g.Blocks[b].Succs {
-			if du.in[s] == nil {
-				du.in[s] = map[regKey][]int{}
+			grew := false
+			for w, v := range out[b] {
+				if nw := du.in[s][w] | v; nw != du.in[s][w] {
+					du.in[s][w] = nw
+					grew = true
+				}
 			}
-			if merge(du.in[s], out[b]) && !queued[s] {
+			if grew && !queued[s] {
 				queued[s] = true
 				work = append(work, s)
 			}
@@ -132,35 +169,51 @@ func buildDefUse(g *Graph) *DefUse {
 // of register r at instruction i, sorted ascending.
 func (du *DefUse) DefsAt(i int, r ir.RegRef) []int {
 	blk := du.g.BlockOf(i)
-	set := map[int]bool{}
-	resolved := map[regKey]bool{}
+	code := du.g.Kernel.Code
+	var defs []int
 	// Walk the block prefix: the last in-block def of each slot wins.
+	resolved := make([]bool, r.Width)
 	for j := i - 1; j >= blk.Start; j-- {
-		if d, ok := ir.Def(&du.g.Kernel.Code[j]); ok && d.Overlaps(r) {
-			for _, k := range keysOf(d) {
-				if k.bank == r.Bank && k.slot >= r.Slot && k.slot < r.Slot+r.Width && !resolved[k] {
-					resolved[k] = true
-					set[j] = true
-				}
+		d, ok := ir.Def(&code[j])
+		if !ok || !d.Overlaps(r) {
+			continue
+		}
+		hit := false
+		for s := max(d.Slot, r.Slot); s < min(d.Slot+d.Width, r.Slot+r.Width); s++ {
+			if !resolved[s-r.Slot] {
+				resolved[s-r.Slot] = true
+				hit = true
 			}
 		}
-	}
-	if du.in[blk.ID] != nil {
-		for _, k := range keysOf(r) {
-			if resolved[k] {
-				continue
-			}
-			for _, d := range du.in[blk.ID][k] {
-				set[d] = true
-			}
+		if hit {
+			defs = append(defs, j)
 		}
 	}
-	defs := make([]int, 0, len(set))
-	for d := range set { // maligo:allow maporder sorted on the next line
-		defs = append(defs, d)
+	in := du.in[blk.ID]
+	for s := r.Slot; s < r.Slot+r.Width; s++ {
+		kk := du.key(r.Bank, s)
+		if resolved[s-r.Slot] || kk < 0 {
+			continue
+		}
+		for p := du.first[kk]; p < du.first[kk+1]; p++ {
+			if in.has(p) {
+				defs = append(defs, du.site[p])
+			}
+		}
 	}
 	sort.Ints(defs)
-	return defs
+	return dedup(defs)
+}
+
+// dedup removes adjacent duplicates from a sorted slice in place.
+func dedup(s []int) []int {
+	out := s[:0]
+	for _, v := range s {
+		if len(out) == 0 || v != out[len(out)-1] {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // UsesOf returns the instruction indices that may use the value

@@ -15,88 +15,89 @@ const typeBool = types.Bool
 const maxWorkItemID = int64(1)<<31 - 1
 
 // env is the combined dataflow state at a program point: per-slot
-// value intervals and affine forms for the integer bank, and per-slot
-// divergence bits for both banks. Missing map entries mean top
-// (interval/affine unknown, value uniform across the work-group).
+// value intervals, affine forms and divergence bits for the integer
+// bank, and per-slot divergence bits for the float bank. The state is
+// dense — one entry per register slot, sized from the kernel's
+// NumI/NumF — and the zero entry is top (interval unknown, no affine
+// form, value uniform across the work-group), so clone is a copy and
+// a join is one linear sweep. Reads outside the banks yield top; the
+// compiler and every transform keep defined registers inside them.
 type env struct {
-	iv  map[int32]Interval
-	af  map[int32]Affine
-	dvI map[int32]bool
-	dvF map[int32]bool
+	i   []islot
+	dvF []bool
 }
 
-func newEnv() *env {
-	return &env{
-		iv:  map[int32]Interval{},
-		af:  map[int32]Affine{},
-		dvI: map[int32]bool{},
-		dvF: map[int32]bool{},
-	}
+// islot is the state of one integer-bank slot. ivOK is false when the
+// interval is top, and iv is then ignored; af is either a form with OK
+// set or the zero Affine (top).
+type islot struct {
+	iv   Interval
+	af   Affine
+	ivOK bool
+	div  bool
+}
+
+func newEnv(k *ir.Kernel) *env {
+	return &env{i: make([]islot, k.NumI), dvF: make([]bool, k.NumF)}
 }
 
 func (e *env) clone() *env {
-	c := newEnv()
-	for k, v := range e.iv { // maligo:allow maporder distinct keys fill the clone
-		c.iv[k] = v
+	return &env{
+		i:   append([]islot(nil), e.i...),
+		dvF: append([]bool(nil), e.dvF...),
 	}
-	for k, v := range e.af { // maligo:allow maporder distinct keys fill the clone
-		c.af[k] = v
-	}
-	for k := range e.dvI { // maligo:allow maporder distinct keys fill the clone
-		c.dvI[k] = true
-	}
-	for k := range e.dvF { // maligo:allow maporder distinct keys fill the clone
-		c.dvF[k] = true
-	}
-	return c
+}
+
+// copyFrom overwrites e with src; both must belong to the same kernel.
+func (e *env) copyFrom(src *env) {
+	copy(e.i, src.i)
+	copy(e.dvF, src.dvF)
 }
 
 func (e *env) interval(slot int32) Interval {
-	if v, ok := e.iv[slot]; ok {
-		return v
+	if slot < 0 || int(slot) >= len(e.i) || !e.i[slot].ivOK {
+		return Top
 	}
-	return Top
+	return e.i[slot].iv
 }
 
 func (e *env) affine(slot int32) Affine {
-	if v, ok := e.af[slot]; ok {
-		return v
+	if slot < 0 || int(slot) >= len(e.i) {
+		return Affine{}
 	}
-	return Affine{}
+	return e.i[slot].af
 }
 
 func (e *env) setIV(slot int32, v Interval) {
-	if v.IsTop() {
-		delete(e.iv, slot)
-	} else {
-		e.iv[slot] = v
-	}
+	s := &e.i[slot]
+	s.iv, s.ivOK = v, !v.IsTop()
 }
 
 func (e *env) setAF(slot int32, a Affine) {
 	if !a.OK {
-		delete(e.af, slot)
-	} else {
-		e.af[slot] = a
+		a = Affine{}
 	}
+	e.i[slot].af = a
+}
+
+// kill resets a slot's interval and affine form to top.
+func (e *env) kill(slot int32) {
+	s := &e.i[slot]
+	s.iv, s.ivOK, s.af = Interval{}, false, Affine{}
 }
 
 func (e *env) divergent(bank int, slot int32) bool {
 	if bank == ir.BankI {
-		return e.dvI[slot]
+		return slot >= 0 && int(slot) < len(e.i) && e.i[slot].div
 	}
-	return e.dvF[slot]
+	return slot >= 0 && int(slot) < len(e.dvF) && e.dvF[slot]
 }
 
 func (e *env) setDiv(bank int, slot int32, d bool) {
-	m := e.dvI
-	if bank == ir.BankF {
-		m = e.dvF
-	}
-	if d {
-		m[slot] = true
+	if bank == ir.BankI {
+		e.i[slot].div = d
 	} else {
-		delete(m, slot)
+		e.dvF[slot] = d
 	}
 }
 
@@ -104,45 +105,36 @@ func (e *env) setDiv(bank int, slot int32, d bool) {
 // replaces growing interval bounds with infinities so loops converge.
 func joinInto(dst, src *env, widen bool) bool {
 	changed := false
-	for k, v := range dst.iv { // maligo:allow maporder per-key joins commute
-		s, ok := src.iv[k]
-		if !ok {
-			delete(dst.iv, k)
+	for k := range dst.i {
+		d, s := &dst.i[k], &src.i[k]
+		if d.ivOK {
+			if !s.ivOK {
+				d.iv, d.ivOK = Interval{}, false
+				changed = true
+			} else if h := d.iv.Hull(s.iv); h != d.iv {
+				if widen {
+					if h.Lo < d.iv.Lo {
+						h.Lo = NegInf
+					}
+					if h.Hi > d.iv.Hi {
+						h.Hi = PosInf
+					}
+				}
+				d.iv, d.ivOK = h, !h.IsTop()
+				changed = true
+			}
+		}
+		if d.af.OK && s.af != d.af {
+			d.af = Affine{}
 			changed = true
-			continue
 		}
-		h := v.Hull(s)
-		if widen && h != v {
-			if h.Lo < v.Lo {
-				h.Lo = NegInf
-			}
-			if h.Hi > v.Hi {
-				h.Hi = PosInf
-			}
-		}
-		if h != v {
-			if h.IsTop() {
-				delete(dst.iv, k)
-			} else {
-				dst.iv[k] = h
-			}
+		if s.div && !d.div {
+			d.div = true
 			changed = true
 		}
 	}
-	for k, v := range dst.af { // maligo:allow maporder per-key joins commute
-		if s, ok := src.af[k]; !ok || s != v {
-			delete(dst.af, k)
-			changed = true
-		}
-	}
-	for k := range src.dvI { // maligo:allow maporder per-key joins commute
-		if !dst.dvI[k] {
-			dst.dvI[k] = true
-			changed = true
-		}
-	}
-	for k := range src.dvF { // maligo:allow maporder per-key joins commute
-		if !dst.dvF[k] {
+	for k, v := range src.dvF {
+		if v && !dst.dvF[k] {
 			dst.dvF[k] = true
 			changed = true
 		}
@@ -153,7 +145,7 @@ func joinInto(dst, src *env, widen bool) bool {
 // entryEnv seeds the kernel-entry state: every parameter is a uniform
 // symbolic value clamped to its scalar range; everything else is top.
 func entryEnv(k *ir.Kernel) *env {
-	e := newEnv()
+	e := newEnv(k)
 	for _, p := range k.Params {
 		switch p.Class {
 		case ir.ParamScalarI:
@@ -215,8 +207,7 @@ func transfer(e *env, in *ir.Instr, forceDiv bool) {
 	kill := func() {
 		if hasDef && def.Bank == ir.BankI {
 			for s := def.Slot; s < def.Slot+def.Width; s++ {
-				delete(e.iv, s)
-				delete(e.af, s)
+				e.kill(s)
 			}
 		}
 	}

@@ -11,15 +11,18 @@ const widenAfter = 16
 // Facts is the analysis result for one kernel: per-block entry
 // environments, edge executability, and divergence-influenced blocks,
 // with query helpers that replay the transfer function inside a block.
+// A Facts is not safe for concurrent use: queries share a scratch
+// environment and build their caches lazily.
 type Facts struct {
 	G *Graph
 
-	in   []*env // per block; nil = never reached
-	exec map[[2]int]bool
-	infl []bool // block executes under divergent control
+	in   []*env    // per block; nil = never reached
+	exec [][2]bool // per block, per successor position
+	infl []bool    // block executes under divergent control
 
-	du   *DefUse
-	segs *segments
+	du      *DefUse
+	segs    *segments
+	scratch *env // envBefore's replay buffer
 }
 
 // Analyze runs the dataflow engine over a kernel.
@@ -47,12 +50,15 @@ func Analyze(k *ir.Kernel) *Facts {
 }
 
 // solve runs the combined worklist iteration and returns per-block
-// entry environments plus edge executability keyed by (block, succ
-// index).
-func solve(g *Graph, forced []bool) ([]*env, map[[2]int]bool) {
+// entry environments plus per-block edge executability, indexed by
+// successor position (a block has at most two successors).
+func solve(g *Graph, forced []bool) ([]*env, [][2]bool) {
 	in := make([]*env, len(g.Blocks))
-	exec := map[[2]int]bool{}
+	exec := make([][2]bool, len(g.Blocks))
 	joins := make([]int, len(g.Blocks))
+	// Edge environments are built in two reused buffers; a block's
+	// entry environment is allocated once, when it is first reached.
+	outs := [2]*env{newEnv(g.Kernel), newEnv(g.Kernel)}
 
 	in[0] = entryEnv(g.Kernel)
 	work := []int{0}
@@ -68,18 +74,13 @@ func solve(g *Graph, forced []bool) ([]*env, map[[2]int]bool) {
 		steps++
 		forceWiden := steps > maxSteps
 
-		outs, ex := flowBlock(g, b, in[b], forced[b])
-		blk := g.Blocks[b]
-		for si, s := range blk.Succs {
-			key := [2]int{b, si}
+		ex := flowBlock(g, b, in[b], forced[b], outs)
+		for si, s := range g.Blocks[b].Succs {
 			if !ex[si] {
-				// Keep any earlier true: executability is monotone.
-				if !exec[key] {
-					exec[key] = false
-				}
+				// Executability is monotone: keep any earlier true.
 				continue
 			}
-			exec[key] = true
+			exec[b][si] = true
 			changed := false
 			if in[s] == nil {
 				in[s] = outs[si].clone()
@@ -98,12 +99,14 @@ func solve(g *Graph, forced []bool) ([]*env, map[[2]int]bool) {
 }
 
 // flowBlock transfers an entry environment through a block and splits
-// it per outgoing edge, applying branch refinement. Returns one env
-// per successor and whether each edge is executable.
-func flowBlock(g *Graph, b int, entry *env, forced bool) ([]*env, []bool) {
+// it per outgoing edge, applying branch refinement. The environment of
+// successor si is written to outs[si]; the result reports whether each
+// edge is executable.
+func flowBlock(g *Graph, b int, entry *env, forced bool, outs [2]*env) (ex [2]bool) {
 	blk := g.Blocks[b]
 	code := g.Kernel.Code
-	e := entry.clone()
+	e := outs[0]
+	e.copyFrom(entry)
 	term := blk.Terminator()
 	for i := blk.Start; i < blk.End; i++ {
 		if i == term {
@@ -113,43 +116,39 @@ func flowBlock(g *Graph, b int, entry *env, forced bool) ([]*env, []bool) {
 	}
 
 	nsucc := len(blk.Succs)
-	outs := make([]*env, nsucc)
-	ex := make([]bool, nsucc)
-	if term < 0 || nsucc == 0 {
-		for i := range outs {
-			outs[i], ex[i] = e, true
-		}
-		return outs, ex
+	branch := term >= 0 && (code[term].Op == ir.JmpIf || code[term].Op == ir.JmpIfZ)
+	if term >= 0 && !branch {
+		transfer(e, &code[term], forced)
 	}
-	t := &code[term]
-	switch t.Op {
-	case ir.JmpIf, ir.JmpIfZ:
-		cond := e.interval(t.B)
-		mayNonzero := cond.Lo != 0 || cond.Hi != 0
-		mayZero := cond.Contains(0)
-		// Successor 0 is the jump target, successor 1 the fallthrough.
-		// For JmpIf the target is the nonzero ("true") edge; for JmpIfZ
-		// it is the zero ("false") edge.
-		condTrue := [2]bool{t.Op == ir.JmpIf, t.Op != ir.JmpIf}
+	if nsucc > 1 {
+		outs[1].copyFrom(e)
+	}
+	if !branch {
 		for si := 0; si < nsucc; si++ {
-			if condTrue[si] {
-				ex[si] = mayNonzero
-			} else {
-				ex[si] = mayZero
-			}
-			out := e.clone()
-			if refineEdge(g, blk, term, out, condTrue[si]) {
-				ex[si] = false
-			}
-			outs[si] = out
+			ex[si] = true
 		}
-	default:
-		transfer(e, t, forced)
-		for i := range outs {
-			outs[i], ex[i] = e, true
+		return ex
+	}
+
+	t := &code[term]
+	cond := e.interval(t.B)
+	mayNonzero := cond.Lo != 0 || cond.Hi != 0
+	mayZero := cond.Contains(0)
+	// Successor 0 is the jump target, successor 1 the fallthrough. For
+	// JmpIf the target is the nonzero ("true") edge; for JmpIfZ it is
+	// the zero ("false") edge.
+	condTrue := [2]bool{t.Op == ir.JmpIf, t.Op != ir.JmpIf}
+	for si := 0; si < nsucc; si++ {
+		if condTrue[si] {
+			ex[si] = mayNonzero
+		} else {
+			ex[si] = mayZero
+		}
+		if refineEdge(g, blk, term, outs[si], condTrue[si]) {
+			ex[si] = false
 		}
 	}
-	return outs, ex
+	return ex
 }
 
 // refineEdge narrows the edge environment under the branch condition
@@ -324,17 +323,21 @@ func (f *Facts) influenced() []bool {
 }
 
 // executable reports whether successor edge si of block b can run.
-func (f *Facts) executable(b, si int) bool { return f.exec[[2]int{b, si}] }
+func (f *Facts) executable(b, si int) bool { return f.exec[b][si] }
 
-// EnvBefore returns the environment immediately before instruction i.
-// The result is a fresh snapshot the caller may keep. Returns nil when
-// the instruction is unreachable.
+// envBefore returns the environment immediately before instruction i,
+// or nil when the instruction is unreachable. The result lives in a
+// scratch buffer that the next call overwrites.
 func (f *Facts) envBefore(i int) *env {
 	blk := f.G.BlockOf(i)
 	if f.in[blk.ID] == nil {
 		return nil
 	}
-	e := f.in[blk.ID].clone()
+	if f.scratch == nil {
+		f.scratch = newEnv(f.G.Kernel)
+	}
+	e := f.scratch
+	e.copyFrom(f.in[blk.ID])
 	for j := blk.Start; j < i; j++ {
 		transfer(e, &f.G.Kernel.Code[j], f.infl[blk.ID])
 	}
@@ -405,11 +408,12 @@ func (f *Facts) DivergentControl(i int) bool {
 // between callbacks: snapshot any fact you need to keep.
 func (f *Facts) Each(fn func(i int, e *Env)) {
 	code := f.G.Kernel.Code
+	e := newEnv(f.G.Kernel)
 	for _, blk := range f.G.Blocks {
 		if blk.ID == f.G.Exit || f.in[blk.ID] == nil {
 			continue
 		}
-		e := f.in[blk.ID].clone()
+		e.copyFrom(f.in[blk.ID])
 		view := &Env{e: e, infl: f.infl[blk.ID]}
 		for i := blk.Start; i < blk.End; i++ {
 			fn(i, view)

@@ -3,14 +3,16 @@
 // analyzer (internal/clc/analysis) only detects them.
 //
 // Each transform pass consumes the tier-2 dataflow facts
-// (internal/clc/analysis/dataflow) recomputed fresh on the current
-// kernel, rewrites the kernel in place when its soundness conditions
-// hold, and records an applicability Result either way — including
-// the reason it refused, keyed to the analyzer pass whose diagnostic
-// it answers. The pipeline order is fixed: qualifier promotion runs
-// first so the vectorizer can rely on promoted restrict facts, the
-// SoA relayout runs before vectorization so rewritten address chains
-// are re-analyzed, and unrolling runs last on whatever loops remain.
+// (internal/clc/analysis/dataflow) of the current kernel, rewrites the
+// kernel in place when its soundness conditions hold, and records an
+// applicability Result either way — including the reason it refused,
+// keyed to the analyzer pass whose diagnostic it answers. Facts are
+// recomputed only after a pass changes the kernel: a refusing pass
+// leaves it untouched, so the next pass reuses the same facts. The
+// pipeline order is fixed: qualifier promotion runs first so the
+// vectorizer can rely on promoted restrict facts, the SoA relayout
+// runs before vectorization so rewritten address chains are
+// re-analyzed, and unrolling runs last on whatever loops remain.
 //
 // The correctness contract is absolute: a transformed kernel must
 // produce bit-identical results to the untransformed kernel on every
@@ -109,8 +111,10 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// passCtx is the per-pass view of one kernel. Facts are recomputed
-// fresh for every pass so later passes see earlier rewrites.
+// passCtx is the per-pass view of one kernel. Facts describe the
+// kernel as the pass finds it: they are recomputed after a pass
+// changes the kernel, so later passes see earlier rewrites, and shared
+// across passes that refuse.
 type passCtx struct {
 	k     *ir.Kernel
 	facts *dataflow.Facts
@@ -128,7 +132,11 @@ type Pass struct {
 	Doc     string
 	Answers []string // analyzer pass names whose findings this transform applies
 
-	run func(c *passCtx) bool // true when the kernel was changed
+	// run rewrites c.k in place and reports whether it changed it. A
+	// pass that returns false must leave the kernel exactly as it found
+	// it (TestRefusalLeavesKernelUnchanged): the pipeline hands the
+	// same facts to the next pass.
+	run func(c *passCtx) bool
 }
 
 // passes is the registry in pipeline order. Qualifier promotion runs
@@ -267,9 +275,16 @@ func optimizeKernel(k *ir.Kernel, sel []Pass) (*ir.Kernel, []Result) {
 	work := cloneKernel(k)
 	var results []Result
 	any := false
+	var facts *dataflow.Facts // nil once a pass has changed the kernel
 	for _, p := range sel {
-		c := &passCtx{k: work, facts: dataflow.Analyze(work)}
+		if facts == nil {
+			facts = dataflow.Analyze(work)
+		}
+		c := &passCtx{k: work, facts: facts}
 		applied := p.run(c)
+		if applied {
+			facts = nil
+		}
 		any = any || applied
 		results = append(results, Result{
 			Pass:    p.Name,
