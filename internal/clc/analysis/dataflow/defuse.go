@@ -2,7 +2,7 @@ package dataflow
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"maligo/internal/clc/ir"
 )
@@ -201,19 +201,8 @@ func (du *DefUse) DefsAt(i int, r ir.RegRef) []int {
 			}
 		}
 	}
-	sort.Ints(defs)
-	return dedup(defs)
-}
-
-// dedup removes adjacent duplicates from a sorted slice in place.
-func dedup(s []int) []int {
-	out := s[:0]
-	for _, v := range s {
-		if len(out) == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	slices.Sort(defs)
+	return slices.Compact(defs)
 }
 
 // UsesOf returns the instruction indices that may use the value

@@ -80,12 +80,6 @@ func (e *env) setAF(slot int32, a Affine) {
 	e.i[slot].af = a
 }
 
-// kill resets a slot's interval and affine form to top.
-func (e *env) kill(slot int32) {
-	s := &e.i[slot]
-	s.iv, s.ivOK, s.af = Interval{}, false, Affine{}
-}
-
 func (e *env) divergent(bank int, slot int32) bool {
 	if bank == ir.BankI {
 		return slot >= 0 && int(slot) < len(e.i) && e.i[slot].div
@@ -207,7 +201,8 @@ func transfer(e *env, in *ir.Instr, forceDiv bool) {
 	kill := func() {
 		if hasDef && def.Bank == ir.BankI {
 			for s := def.Slot; s < def.Slot+def.Width; s++ {
-				e.kill(s)
+				e.setIV(s, Top)
+				e.setAF(s, Affine{})
 			}
 		}
 	}

@@ -525,8 +525,10 @@ func (s *Scheduler) bumpLocked() {
 // scheduler lock, in completion order.
 func (s *Scheduler) fire(evs []*Event) {
 	for _, e := range evs {
-		if e.cmd != nil && e.cmd.onComplete != nil {
-			e.cmd.onComplete(e)
+		if c := e.cmd; c != nil && c.onComplete != nil {
+			fn := c.onComplete
+			c.onComplete = nil // runs once; release what it captured
+			fn(e)
 		}
 		close(e.done)
 	}
@@ -560,6 +562,11 @@ func (s *Scheduler) finishLocked(e *Event, out Outcome, err error, fired *[]*Eve
 		e.started = e.submitted + dispatch
 		e.ended = e.submitted + out.Seconds
 		delete(s.pending, c)
+		// A finished command is only its event's stamps. Drop the body
+		// and the dependency edges so an in-order chain does not keep
+		// every earlier command, and all its body captured, reachable
+		// from the latest event.
+		c.run, c.deps, c.queuedAfter = nil, nil, nil
 	}
 	if err != nil {
 		e.status = StatusFailed

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -555,5 +556,46 @@ func TestTopologicalOrderInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFinishedChainReleasesBodies checks that a finished command keeps
+// nothing its body or completion callback captured alive: holding the
+// last event of a long in-order chain (as a queue's tail does) must
+// not retain the chain's earlier work.
+func TestFinishedChainReleasesBodies(t *testing.T) {
+	s := sched.New()
+	defer s.Close()
+	const n = 8
+	var freed atomic.Int32
+	var last *sched.Event
+	for i := 0; i < n; i++ {
+		payload := new([4096]byte)
+		runtime.SetFinalizer(payload, func(*[4096]byte) { freed.Add(1) })
+		c := s.NewCommand(fmt.Sprint(i), func() (sched.Outcome, error) {
+			payload[0]++
+			return sched.Outcome{Seconds: 1}, nil
+		})
+		c.OnComplete(func(*sched.Event) { payload[1]++ })
+		if last != nil {
+			c.QueuedAfter(last)
+		}
+		if err := s.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+		last = c.Event()
+	}
+	if err := last.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < n && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := freed.Load(); got != n {
+		t.Errorf("%d of %d finished command payloads still reachable from the chain's last event", n-got, n)
+	}
+	if _, _, _, end := last.Stamps(); end != n {
+		t.Errorf("last event ends at %g, want %d", end, n)
 	}
 }

@@ -4,9 +4,16 @@ import (
 	"testing"
 
 	"maligo/internal/clc/analysis"
+	"maligo/internal/clc/ir"
 	"maligo/internal/clc/opt"
 	"maligo/internal/job"
 )
+
+// admitted keeps the benchmark's results live.
+var admitted struct {
+	diags []analysis.Diagnostic
+	prog  *ir.Program
+}
 
 // admit does the work of one cold optimizing admission below the
 // cache: compile, the analyzer gate, and the transform pipeline.
@@ -15,8 +22,8 @@ func admit(b *testing.B, s *job.Spec) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	analysis.Analyze(art)
-	opt.Optimize(art.Prog)
+	admitted.diags = analysis.Analyze(art)
+	admitted.prog, _ = opt.Optimize(art.Prog)
 }
 
 // BenchmarkColdAdmission measures what a cache miss under -optimize
