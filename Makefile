@@ -33,10 +33,10 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 200x -count 3 ./internal/vm \
 		| $(GO) run ./cmd/benchjson > BENCH_vm_v2.json
-	@echo "wrote BENCH_vm_v2.json (three-tier VM engine baseline; diff against the committed copy)"
+	@echo "wrote BENCH_vm_v2.json (VM engine baseline; diff against the committed copy)"
 
 # Cheap benchmark smoke for CI: one iteration of the VM engine
-# benchmarks under all three engines, so a broken bench harness fails
+# benchmarks under both engines, so a broken bench harness fails
 # verify rather than the next baseline refresh.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 1x ./internal/vm >/dev/null
@@ -99,7 +99,7 @@ trace-golden:
 	$(GO) run ./cmd/tracecheck internal/cl/testdata/trace_multiqueue.json
 
 # Short native-fuzzing pass over every fuzz target ($(FUZZTIME) each):
-# the 3-way engine differential (interp oracle vs compiled vs lanes),
+# the engine differential (interp oracle vs compiled),
 # the command-DAG scheduler vs its serial oracle, the profile algebra
 # and the kernel analyzer.
 fuzz-smoke:
@@ -112,7 +112,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzAutotune$$' -fuzztime $(FUZZTIME) ./internal/tune
 
 # Full verification: what CI runs. The -short race pass includes the
-# engine differential cross-section; `make test` runs the full 3-way
-# matrix (interp oracle vs compiled vs lanes) plus the codegen backend
-# snapshot tests.
+# engine differential cross-section; `make test` runs the full
+# matrix (interp oracle vs compiled) plus the IR dump snapshot tests.
 verify: build lint test race race-sched trace-smoke trace-golden serve-smoke bench-smoke fuzz-smoke

@@ -80,10 +80,9 @@ type (
 
 	// Engine selects the VM execution engine: EngineInterp is the
 	// reference switch-dispatch interpreter (the oracle), EngineCompiled
-	// the closure-compiled fast path, EngineLanes the lock-step
-	// lane-batched SIMT executor. All three are bit-identical in every
-	// observable (results, reports, traces, profiles); only host
-	// wall-clock differs.
+	// the closure-compiled fast path and the default. Both are
+	// bit-identical in every observable (results, reports, traces,
+	// profiles); only host wall-clock differs.
 	Engine = vm.Engine
 )
 
@@ -181,7 +180,6 @@ const (
 	EngineAuto     = vm.EngineAuto
 	EngineInterp   = vm.EngineInterp
 	EngineCompiled = vm.EngineCompiled
-	EngineLanes    = vm.EngineLanes
 )
 
 // ErrUnknownEngine reports an engine name ParseEngine does not know;
@@ -190,10 +188,10 @@ const (
 var ErrUnknownEngine = vm.ErrUnknownEngine
 
 // ParseEngine parses an engine name: "auto" (or empty), "interp" /
-// "interpreter", "compiled", "lanes" (or "simt"). The malisim, malid
-// and figures -engine flags accept the same names, as does the
-// MALIGO_ENGINE environment variable. Unknown names return an error
-// wrapping ErrUnknownEngine.
+// "interpreter", "compiled". The malisim, malid, figures and malitune
+// -engine flags accept the same names, as does the MALIGO_ENGINE
+// environment variable. Unknown names return an error wrapping
+// ErrUnknownEngine.
 func ParseEngine(s string) (Engine, error) { return vm.ParseEngine(s) }
 
 // EngineFromEnv returns the engine selected by the MALIGO_ENGINE
@@ -205,13 +203,6 @@ func EngineFromEnv() Engine { return vm.EngineFromEnv() }
 // silently running the default engine; the daemons validate startup
 // configuration with it.
 func EngineFromEnvStrict() (Engine, error) { return vm.EngineFromEnvStrict() }
-
-// ContextOption is the old name of the option type NewContext takes.
-//
-// Deprecated: use Option — NewPlatform and NewContext now share one
-// option vocabulary (WithDevices, WithArenaBytes, WithWorkers,
-// WithEngine, WithAsyncQueues).
-type ContextOption = Option
 
 // NewContext creates a standalone context from the same functional
 // options NewPlatform takes (WithDevices, WithArenaBytes,
@@ -233,32 +224,6 @@ func NewContext(opts ...Option) *Context {
 	}
 	return cl.NewContextWith(clOpts...)
 }
-
-// ContextDevices sets a standalone context's devices.
-//
-// Deprecated: use WithDevices.
-func ContextDevices(devices ...Device) Option { return WithDevices(devices...) }
-
-// ContextArenaBytes sets a standalone context's memory capacity.
-//
-// Deprecated: use WithArenaBytes.
-func ContextArenaBytes(n int64) Option { return WithArenaBytes(n) }
-
-// ContextWorkers sets a standalone context's engine worker count.
-//
-// Deprecated: use WithWorkers.
-func ContextWorkers(n int) Option { return WithWorkers(n) }
-
-// ContextEngine selects a standalone context's VM execution engine.
-//
-// Deprecated: use WithEngine.
-func ContextEngine(e Engine) Option { return WithEngine(e) }
-
-// ContextAsyncQueues routes a standalone context's queues through the
-// DAG command scheduler.
-//
-// Deprecated: use WithAsyncQueues.
-func ContextAsyncQueues(on bool) Option { return WithAsyncQueues(on) }
 
 // EnqueueAsync launches a kernel after every wait-list event completes
 // and returns a pending event immediately — the façade spelling of

@@ -102,7 +102,8 @@ func TestPublicAPIDeterminism(t *testing.T) {
 }
 
 // TestPlatformOptions checks the remaining NewPlatform options take
-// effect through the façade.
+// effect through the façade, and that a standalone NewContext accepts
+// the same option vocabulary.
 func TestPlatformOptions(t *testing.T) {
 	p := maligo.NewPlatform(
 		maligo.WithArenaBytes(1<<22),
@@ -126,6 +127,23 @@ func TestPlatformOptions(t *testing.T) {
 	}
 	if p.CPU() == nil || p.CPUDual() == nil || p.Mali() == nil {
 		t.Error("device accessors returned nil")
+	}
+
+	ctx := maligo.NewContext(
+		maligo.WithDevices(p.Mali()),
+		maligo.WithArenaBytes(1<<20),
+		maligo.WithWorkers(1),
+		maligo.WithAsyncQueues(true),
+	)
+	defer ctx.Close()
+	if got := ctx.ArenaBytes(); got != 1<<20 {
+		t.Errorf("NewContext ArenaBytes = %d, want %d", got, 1<<20)
+	}
+	if got := ctx.Workers(); got != 1 {
+		t.Errorf("NewContext Workers = %d, want 1", got)
+	}
+	if _, err := ctx.CreateBuffer(maligo.MemReadWrite, 1024, nil); err != nil {
+		t.Errorf("CreateBuffer on a NewContext context: %v", err)
 	}
 }
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	malisim -bench dmmm [-version opt] [-prec single] [-scale 1.0] [-workers N]
-//	        [-device exynos5422] [-engine interp|compiled|lanes] [-async]
+//	        [-device exynos5422] [-engine interp|compiled] [-async]
 //	        [-trace out.json] [-metrics] [-metrics-out m.json] [-hotlines N]
 //
 // -device selects a registered device model (malisim -list names
@@ -16,11 +16,11 @@
 // OpenCL Opt). -workers shards the simulation's work-groups across N
 // host CPUs (default all); the simulated results are identical, only
 // the host wall-clock changes. -engine selects the VM execution engine
-// (the closure-compiled fast path by default, the reference
-// interpreter with -engine interp, or the lock-step lane-batched SIMT
-// executor with -engine lanes; the MALIGO_ENGINE environment variable
-// sets the same choice and an invalid value is rejected at startup) —
-// all three engines are bit-identical in every simulated observable.
+// (the closure-compiled fast path by default, or the reference
+// interpreter with -engine interp; the MALIGO_ENGINE environment
+// variable sets the same choice and an invalid value is rejected at
+// startup) — both engines are bit-identical in every simulated
+// observable.
 //
 // Observability: -trace writes the measured region's command timeline
 // as Chrome tracing JSON (open in chrome://tracing or
@@ -46,7 +46,7 @@ func main() {
 		prec    = flag.String("prec", "single", "precision: single or double")
 		scale   = flag.Float64("scale", 1.0, "workload scale factor")
 		workers = flag.Int("workers", 0, "engine worker goroutines (0 = all host CPUs, 1 = serial engine)")
-		engine  = flag.String("engine", "", "VM execution engine: interp (reference interpreter), compiled (closure fast path, default) or lanes (lock-step SIMT batches); also settable via MALIGO_ENGINE")
+		engine  = flag.String("engine", "", "VM execution engine: interp (reference interpreter) or compiled (closure fast path, default); also settable via MALIGO_ENGINE")
 		devName = flag.String("device", "", "board model: "+strings.Join(maligo.DeviceNames(), ", ")+" (default "+maligo.DefaultDeviceName+")")
 		async   = flag.Bool("async", false, "run enqueues through the DAG command scheduler (asynchronous queues); all simulated observables are bit-identical")
 		list    = flag.Bool("list", false, "list benchmarks and device models and exit")

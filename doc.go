@@ -33,9 +33,7 @@
 // parallel NDRange engine's host worker count, WithEngine selects the
 // VM engine, WithAsyncQueues enables the DAG scheduler, WithDevices
 // picks a standalone context's devices, and WithMeterHz/WithMeterSeed
-// configure the simulated power meter. The older per-constructor
-// spellings (ContextDevices, WithOutOfOrderQueues, ...) remain as
-// deprecated aliases.
+// configure the simulated power meter.
 //
 // # The parallel execution engine
 //
@@ -50,37 +48,32 @@
 // the serial engine; Queue.FinishCtx and EnqueueNDRangeKernelCtx
 // accept a context.Context for cancellation.
 //
-// # Execution engines: a three-tier contract
+// # Execution engines: a two-engine contract
 //
-// Inside each worker, the VM runs kernels on one of three engines
-// (WithEngine, the malisim/malid -engine flags, or MALIGO_ENGINE):
+// Inside each worker, the VM runs kernels on one of two engines
+// (WithEngine, the malisim/malid/figures/malitune -engine flags, or
+// MALIGO_ENGINE):
 //
 //   - EngineInterp — the reference switch-dispatch interpreter. Slow,
-//     simple, and the oracle: every other tier is defined as
+//     simple, and the oracle: the compiled engine is defined as
 //     "observationally identical to interp".
 //   - EngineCompiled — the closure-compiled fast path (the default).
 //     Kernels pre-decode into basic blocks of fused execution units.
-//   - EngineLanes — the lock-step lane-batched SIMT executor. Work-items
-//     run 16 to a batch over structure-of-arrays register files with an
-//     active-lane mask for divergent control flow, reconverging at
-//     post-dominators; barriers synchronize whole batches, and
-//     unit-stride global loads and stores move as bulk slice copies.
 //
-// The contract across all three tiers is bit-identity in every
+// The contract across both engines is bit-identity in every
 // observable: memory images, profiles, profiling timestamps, traces,
 // race reports, hot-line attribution, fault messages and step-limit
-// errors. The interpreter stays authoritative; a 3-way differential
-// suite (fuzzed kernels plus the full benchmark matrix) enforces the
+// errors. The interpreter stays authoritative; a differential suite
+// (fuzzed kernels plus the full benchmark matrix) enforces the
 // contract, and ParseEngine rejects unknown engine names with
 // ErrUnknownEngine instead of silently falling back (daemons validate
 // MALIGO_ENGINE at startup via EngineFromEnvStrict).
 //
-// The same IR that feeds the engines also feeds code generation:
-// internal/clc/backend emits standalone artifacts from a compiled
-// kernel — "irdump" renders the canonical textual IR, "gosrc" emits a
-// self-contained Go package that executes the kernel as a basic-block
-// state machine against a small Machine interface. Snapshot tests pin
-// both emitters byte-for-byte on every paper benchmark kernel.
+// The same IR that feeds the engines can be written out:
+// internal/clc/backend's IRDump renders the canonical, versioned
+// textual IR of a compiled kernel (KernelIRDump on this package).
+// Snapshot tests pin it byte-for-byte on every paper benchmark
+// kernel.
 //
 // # Asynchronous queues
 //
@@ -240,7 +233,7 @@
 // SoC's Dump form is pinned by a golden file under testdata/platform
 // (refresh with `go test -run Golden -update .`), and the fleet
 // differential suite automatically runs every benchmark on it under
-// all three engines.
+// both engines.
 //
 // On top of the fleet sits the cross-device autotuner: Autotune
 // exhaustively enumerates placements of one benchmark — device ×

@@ -25,11 +25,11 @@ func TestParseEngineTable(t *testing.T) {
 		{"interp", maligo.EngineInterp, true},
 		{"interpreter", maligo.EngineInterp, true},
 		{"compiled", maligo.EngineCompiled, true},
-		{"lanes", maligo.EngineLanes, true},
-		{"lane", maligo.EngineLanes, true},
-		{"simt", maligo.EngineLanes, true},
-		{"LANES", maligo.EngineLanes, true},
 		{" compiled ", maligo.EngineCompiled, true},
+		{"lanes", 0, false},
+		{"lane", 0, false},
+		{"simt", 0, false},
+		{"LANES", 0, false},
 		{"fast", 0, false},
 		{"interp2", 0, false},
 		{"lanes,compiled", 0, false},
@@ -58,17 +58,19 @@ func TestParseEngineTable(t *testing.T) {
 // a typed startup error while the lenient reader still degrades to
 // auto for run-time callers.
 func TestEngineFromEnvStrict(t *testing.T) {
-	t.Setenv("MALIGO_ENGINE", "lanes")
-	if got, err := maligo.EngineFromEnvStrict(); err != nil || got != maligo.EngineLanes {
-		t.Fatalf("strict(lanes) = %v, %v", got, err)
+	t.Setenv("MALIGO_ENGINE", "interp")
+	if got, err := maligo.EngineFromEnvStrict(); err != nil || got != maligo.EngineInterp {
+		t.Fatalf("strict(interp) = %v, %v", got, err)
 	}
 
-	t.Setenv("MALIGO_ENGINE", "warp")
-	if _, err := maligo.EngineFromEnvStrict(); !errors.Is(err, maligo.ErrUnknownEngine) {
-		t.Fatalf("strict(warp) err = %v, want ErrUnknownEngine", err)
-	}
-	if got := maligo.EngineFromEnv(); got != maligo.EngineAuto {
-		t.Fatalf("lenient(warp) = %v, want EngineAuto", got)
+	for _, bad := range []string{"warp", "lanes"} {
+		t.Setenv("MALIGO_ENGINE", bad)
+		if _, err := maligo.EngineFromEnvStrict(); !errors.Is(err, maligo.ErrUnknownEngine) {
+			t.Fatalf("strict(%s) err = %v, want ErrUnknownEngine", bad, err)
+		}
+		if got := maligo.EngineFromEnv(); got != maligo.EngineAuto {
+			t.Fatalf("lenient(%s) = %v, want EngineAuto", bad, got)
+		}
 	}
 
 	t.Setenv("MALIGO_ENGINE", "")
@@ -77,9 +79,9 @@ func TestEngineFromEnvStrict(t *testing.T) {
 	}
 }
 
-// TestWithEngineEndToEnd drives the façade with every engine and
+// TestWithEngineEndToEnd drives the façade with both engines and
 // requires bit-identical output and measurement — the root-package leg
-// of the 3-way differential contract.
+// of the engine differential contract.
 func TestWithEngineEndToEnd(t *testing.T) {
 	run := func(eng maligo.Engine) ([]byte, maligo.Measurement) {
 		const n = 1 << 10
@@ -124,22 +126,20 @@ func TestWithEngineEndToEnd(t *testing.T) {
 	}
 
 	refOut, refMeas := run(maligo.EngineInterp)
-	for _, eng := range []maligo.Engine{maligo.EngineCompiled, maligo.EngineLanes} {
-		out, meas := run(eng)
-		for i := range refOut {
-			if out[i] != refOut[i] {
-				t.Fatalf("%v: output differs from interp at byte %d", eng, i)
-			}
+	out, meas := run(maligo.EngineCompiled)
+	for i := range refOut {
+		if out[i] != refOut[i] {
+			t.Fatalf("output differs from interp at byte %d", i)
 		}
-		if meas != refMeas {
-			t.Errorf("%v: measurement differs:\n interp: %+v\n got:    %+v", eng, refMeas, meas)
-		}
+	}
+	if meas != refMeas {
+		t.Errorf("measurement differs:\n interp:   %+v\n compiled: %+v", refMeas, meas)
 	}
 }
 
 // TestExperimentsEngineIdentity is the malisim leg: RunExperiments —
 // the exact path malisim drives after its -engine flag parses — must
-// produce identical simulated cells under every engine (only
+// produce identical simulated cells under both engines (only
 // HostSeconds, the host wall-clock, may move).
 func TestExperimentsEngineIdentity(t *testing.T) {
 	run := func(eng maligo.Engine) *maligo.Results {
@@ -156,25 +156,23 @@ func TestExperimentsEngineIdentity(t *testing.T) {
 		return res
 	}
 	ref := run(maligo.EngineInterp)
-	for _, eng := range []maligo.Engine{maligo.EngineCompiled, maligo.EngineLanes} {
-		res := run(eng)
-		for key, rc := range ref.Cells {
-			gc := res.Cells[key]
-			if gc == nil || rc.Supported != gc.Supported {
-				t.Fatalf("%v: %s: cell mismatch", eng, key)
-			}
-			if !rc.Supported {
-				continue
-			}
-			if rc.Seconds != gc.Seconds || rc.Power != gc.Power || rc.Activity != gc.Activity {
-				t.Errorf("%v: %s: simulated results differ from interp", eng, key)
-			}
+	res := run(maligo.EngineCompiled)
+	for key, rc := range ref.Cells {
+		gc := res.Cells[key]
+		if gc == nil || rc.Supported != gc.Supported {
+			t.Fatalf("%s: cell mismatch", key)
+		}
+		if !rc.Supported {
+			continue
+		}
+		if rc.Seconds != gc.Seconds || rc.Power != gc.Power || rc.Activity != gc.Activity {
+			t.Errorf("%s: simulated results differ from interp", key)
 		}
 	}
 }
 
 // TestServerEngineIdentity is the malid leg: a daemon configured with
-// each engine must serve byte-identical job results. (malid's -engine
+// either engine must serve byte-identical job results. (malid's -engine
 // flag parses with ParseEngine and lands in ServerConfig.Runtime.Engine
 // — this drives that exact path.)
 func TestServerEngineIdentity(t *testing.T) {
@@ -199,9 +197,7 @@ func TestServerEngineIdentity(t *testing.T) {
 		return b
 	}
 	ref := run(maligo.EngineInterp)
-	for _, eng := range []maligo.Engine{maligo.EngineCompiled, maligo.EngineLanes} {
-		if got := run(eng); string(got) != string(ref) {
-			t.Errorf("%v: served job result differs from interp:\n interp: %s\n got:    %s", eng, ref, got)
-		}
+	if got := run(maligo.EngineCompiled); string(got) != string(ref) {
+		t.Errorf("served job result differs from interp:\n interp:   %s\n compiled: %s", ref, got)
 	}
 }

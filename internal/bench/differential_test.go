@@ -1,8 +1,6 @@
 package bench_test
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"maligo/internal/bench"
@@ -95,11 +93,11 @@ func runUnderEngineOn(t *testing.T, soc *platform.SoC, workers int, name string,
 
 // TestEngineDifferential runs the full benchmark matrix — every
 // benchmark, every supported version, both precisions — once under the
-// reference interpreter and once under each fast engine (compiled,
-// lanes), and requires every observable to be bit-identical: buffer
-// contents, event timestamps and device reports, metrics counters and
-// the exported trace timeline. The interpreter is the oracle; any
-// divergence is a fast-engine bug.
+// reference interpreter and once under the compiled engine, and
+// requires every observable to be bit-identical: buffer contents,
+// event timestamps and device reports, metrics counters and the
+// exported trace timeline. The interpreter is the oracle; any
+// divergence is a compiled-engine bug.
 func TestEngineDifferential(t *testing.T) {
 	names := bench.Names()
 	precs := []bench.Precision{bench.F32, bench.F64}
@@ -114,34 +112,8 @@ func TestEngineDifferential(t *testing.T) {
 			name, prec := name, prec
 			t.Run(name+"/"+prec.String(), func(t *testing.T) {
 				ref := runUnderEngine(t, name, prec, vm.EngineInterp)
-				for _, eng := range []vm.Engine{vm.EngineCompiled, vm.EngineLanes} {
-					got := runUnderEngine(t, name, prec, eng)
-
-					if !bytes.Equal(ref.arena, got.arena) {
-						diff := -1
-						for i := range ref.arena {
-							if ref.arena[i] != got.arena[i] {
-								diff = i
-								break
-							}
-						}
-						t.Errorf("%v: arena contents differ (first at byte %d of %d)", eng, diff, len(ref.arena))
-					}
-					if len(ref.events) != len(got.events) {
-						t.Fatalf("%v: event count differs: interp %d vs %d", eng, len(ref.events), len(got.events))
-					}
-					for i := range ref.events {
-						if !reflect.DeepEqual(ref.events[i], got.events[i]) {
-							t.Errorf("%v: event %d differs:\n interp: %+v\n got:    %+v", eng, i, ref.events[i], got.events[i])
-						}
-					}
-					if !reflect.DeepEqual(ref.metrics, got.metrics) {
-						t.Errorf("%v: metrics snapshots differ:\n interp: %+v\n got:    %+v", eng, ref.metrics, got.metrics)
-					}
-					if !reflect.DeepEqual(ref.timeline, got.timeline) {
-						t.Errorf("%v: timeline spans differ:\n interp: %+v\n got:    %+v", eng, ref.timeline, got.timeline)
-					}
-				}
+				got := runUnderEngine(t, name, prec, vm.EngineCompiled)
+				compareRuns(t, "compiled", ref, got, true)
 			})
 		}
 	}

@@ -2,7 +2,6 @@ package bench_test
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"maligo/internal/bench"
@@ -77,7 +76,7 @@ func runFromIR(t *testing.T, name string, prec bench.Precision, eng vm.Engine, o
 
 // TestTransformEngineMatrix is the transform engine's version of the
 // engine differential: every benchmark runs through the full §V
-// transform pipeline and then under all three VM engines. Two
+// transform pipeline and then under both VM engines. Two
 // contracts hold at once:
 //
 //  1. across engines, a transformed program's observables are
@@ -118,26 +117,8 @@ func TestTransformEngineMatrix(t *testing.T) {
 				t.Errorf("transformed results differ from untransformed (first at byte %d of %d)",
 					diff, len(plain.arena))
 			}
-			for _, eng := range []vm.Engine{vm.EngineCompiled, vm.EngineLanes} {
-				got := runFromIR(t, name, bench.F32, eng, true)
-				if !bytes.Equal(ref.arena, got.arena) {
-					t.Errorf("%v: arena contents differ on transformed IR", eng)
-				}
-				if len(ref.events) != len(got.events) {
-					t.Fatalf("%v: event count differs: interp %d vs %d", eng, len(ref.events), len(got.events))
-				}
-				for i := range ref.events {
-					if !reflect.DeepEqual(ref.events[i], got.events[i]) {
-						t.Errorf("%v: event %d differs:\n interp: %+v\n got:    %+v", eng, i, ref.events[i], got.events[i])
-					}
-				}
-				if !reflect.DeepEqual(ref.metrics, got.metrics) {
-					t.Errorf("%v: metrics snapshots differ on transformed IR", eng)
-				}
-				if !reflect.DeepEqual(ref.timeline, got.timeline) {
-					t.Errorf("%v: timeline spans differ on transformed IR", eng)
-				}
-			}
+			got := runFromIR(t, name, bench.F32, vm.EngineCompiled, true)
+			compareRuns(t, "compiled on transformed IR", ref, got, true)
 		})
 	}
 	if !testing.Short() && !transformedAny {

@@ -1065,27 +1065,6 @@ func (t *memTarget) StoreBits(space int, off int64, size int, bits uint64) error
 	return t.arena.StoreBits(off, size, bits)
 }
 
-// RawWindow implements vm.RawMemory: the lane engine asks for a
-// directly addressable window to batch unit-stride scalar accesses.
-// Any request that could fault returns ok=false so the per-access
-// fallback path reproduces the exact arena/constant-segment errors.
-func (t *memTarget) RawWindow(space int, off int64, n int, write bool) ([]byte, bool) {
-	if space == ir.SpaceConstant {
-		if write || off < 0 || n < 0 || off+int64(n) > int64(len(t.constant)) {
-			return nil, false
-		}
-		return t.constant[off : off+int64(n)], true
-	}
-	if space != ir.SpaceGlobal {
-		return nil, false
-	}
-	win, err := t.arena.Bytes(off, int64(n))
-	if err != nil {
-		return nil, false
-	}
-	return win, true
-}
-
 func (t *memTarget) AtomicRMW(space int, off int64, size int, fn func(uint64) uint64) (uint64, error) {
 	if t.mu != nil {
 		t.mu.Lock()

@@ -11,14 +11,13 @@ import (
 )
 
 // TestObserverHooksEngineIdentical verifies the trace-observer path of
-// the fast engines: with race checking and hot-line profiling both
+// the fast engine: with race checking and hot-line profiling both
 // enabled on the same queue (so the detailed trace fans out through
 // device.FanObservers to a vm.RaceDetector and a vm.LineProfiler), the
-// compiled and lane engines must report the exact races and the exact
-// per-line load/store profile the reference interpreter reports. The
-// kernel races deliberately: racy kernels are the hard case for the
-// lane engine, whose replayed observer stream must stay identical even
-// though lock-step execution reorders the underlying work.
+// compiled engine must report the exact races and the exact per-line
+// load/store profile the reference interpreter reports. The kernel
+// races deliberately, so the race detector has observations to
+// compare.
 func TestObserverHooksEngineIdentical(t *testing.T) {
 	type observed struct {
 		dynamic []vm.DataRace
@@ -77,17 +76,15 @@ func TestObserverHooksEngineIdentical(t *testing.T) {
 	if len(ref.top) == 0 {
 		t.Fatal("interpreter line profile is empty")
 	}
-	for _, eng := range []vm.Engine{vm.EngineCompiled, vm.EngineLanes} {
-		got := run(eng)
-		if !reflect.DeepEqual(ref.dynamic, got.dynamic) {
-			t.Errorf("%v: race detector observations differ:\n interp: %+v\n got:    %+v", eng, ref.dynamic, got.dynamic)
-		}
-		if !reflect.DeepEqual(ref.top, got.top) {
-			t.Errorf("%v: line profiles differ:\n interp: %+v\n got:    %+v", eng, ref.top, got.top)
-		}
-		if ref.bytes != got.bytes {
-			t.Errorf("%v: profiled bytes differ: interp %d, got %d", eng, ref.bytes, got.bytes)
-		}
+	got := run(vm.EngineCompiled)
+	if !reflect.DeepEqual(ref.dynamic, got.dynamic) {
+		t.Errorf("race detector observations differ:\n interp:   %+v\n compiled: %+v", ref.dynamic, got.dynamic)
+	}
+	if !reflect.DeepEqual(ref.top, got.top) {
+		t.Errorf("line profiles differ:\n interp:   %+v\n compiled: %+v", ref.top, got.top)
+	}
+	if ref.bytes != got.bytes {
+		t.Errorf("profiled bytes differ: interp %d, compiled %d", ref.bytes, got.bytes)
 	}
 }
 
@@ -135,10 +132,7 @@ func TestObserverHooksEngineIdenticalCPU(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("interpreter line profile is empty")
 	}
-	for _, eng := range []vm.Engine{vm.EngineCompiled, vm.EngineLanes} {
-		got := run(eng)
-		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("%v: line profiles differ:\n interp: %+v\n got:    %+v", eng, ref, got)
-		}
+	if got := run(vm.EngineCompiled); !reflect.DeepEqual(ref, got) {
+		t.Errorf("line profiles differ:\n interp:   %+v\n compiled: %+v", ref, got)
 	}
 }

@@ -1,87 +1,13 @@
-// Package backend lowers compiled kernel IR to external targets.
+// Package backend writes compiled kernel IR out of the process.
 //
 // The execution engines in internal/vm consume ir.Kernel directly; this
 // package is the other side of that contract: it treats the IR as a
-// stable input language and emits self-contained artifacts from it,
-// following the IR→multi-target lowering shape of naga (one validated
-// intermediate form, many independent writers). Two backends ship
-// today:
+// stable input language and renders it as IRDump, a canonical,
+// versioned textual dump of one kernel. Byte-stable across runs, the
+// dump is the snapshot format the test suites lock down (backend and
+// transform goldens), the before/after listing of `clc -optimize -dis`,
+// and the interchange format for external tooling.
 //
-//   - "irdump" — a canonical, versioned textual dump of the kernel IR.
-//     Byte-stable across runs, it is the snapshot format the test suite
-//     locks down and the interchange format for external tooling.
-//   - "gosrc"  — standalone Go source: one package per kernel with a
-//     Run function that executes the kernel as a basic-block state
-//     machine against a small Machine interface (memory + builtins).
-//     Barriers return control to the host with a resume block, so a
-//     host can schedule work-groups exactly like the VM does.
-//
-// Backends are pure functions of the kernel: no global state, no
-// engine coupling, deterministic output. Register in init and look up
-// by name.
+// IRDump is a pure function of the kernel: no global state, no engine
+// coupling, deterministic output.
 package backend
-
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"maligo/internal/clc/ir"
-)
-
-// Backend emits one artifact from a lowered kernel.
-type Backend interface {
-	// Name is the registry key ("irdump", "gosrc").
-	Name() string
-	// Emit renders the kernel. Output must be deterministic: equal
-	// kernels produce byte-equal artifacts.
-	Emit(k *ir.Kernel) ([]byte, error)
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Backend{}
-)
-
-// Register adds a backend to the registry. Duplicate names panic: two
-// writers for one target is a wiring bug, not a runtime condition.
-func Register(b Backend) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[b.Name()]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", b.Name()))
-	}
-	registry[b.Name()] = b
-}
-
-// Get returns the named backend or an error listing the known ones.
-func Get(name string) (Backend, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if b, ok := registry[name]; ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("backend: unknown backend %q (have %v)", name, namesLocked())
-}
-
-// Names lists registered backends in sorted order. Callers must hold
-// no registry assumptions beyond this list.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry { // maligo:allow maporder sorted on the next line
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register(irDump{})
-	Register(goSrc{})
-}

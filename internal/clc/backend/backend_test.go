@@ -3,11 +3,8 @@ package backend_test
 import (
 	"bytes"
 	"flag"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"maligo/internal/bench"
@@ -18,32 +15,11 @@ import (
 // -update regenerates the golden snapshots instead of comparing.
 var update = flag.Bool("update", false, "rewrite backend snapshot goldens")
 
-func TestRegistry(t *testing.T) {
-	names := backend.Names()
-	for _, want := range []string{"gosrc", "irdump"} {
-		b, err := backend.Get(want)
-		if err != nil {
-			t.Fatalf("Get(%q): %v", want, err)
-		}
-		if b.Name() != want {
-			t.Errorf("Get(%q).Name() = %q", want, b.Name())
-		}
-	}
-	if len(names) != 2 || names[0] != "gosrc" || names[1] != "irdump" {
-		t.Errorf("Names() = %v, want sorted [gosrc irdump]", names)
-	}
-	if _, err := backend.Get("llvm"); err == nil {
-		t.Error("Get of unknown backend should fail")
-	} else if !strings.Contains(err.Error(), "gosrc") {
-		t.Errorf("unknown-backend error should list known backends, got %v", err)
-	}
-}
-
-// TestSnapshots locks down the emitted artifact of every backend for
-// every kernel of every paper benchmark, byte for byte. A diff here
-// means the backend output format changed: if intentional, regenerate
-// with `go test ./internal/clc/backend/ -run Snapshots -update` and
-// review the golden diff like any other code change.
+// TestSnapshots locks down the IR dump of every kernel of every paper
+// benchmark, byte for byte. A diff here means the dump format changed:
+// if intentional, regenerate with
+// `go test ./internal/clc/backend/ -run Snapshots -update` and review
+// the golden diff like any other code change.
 func TestSnapshots(t *testing.T) {
 	for _, name := range bench.Names() {
 		b := bench.ByName(name)
@@ -53,56 +29,37 @@ func TestSnapshots(t *testing.T) {
 		}
 		for _, kname := range prog.KernelNames() {
 			k := prog.Kernel(kname)
-			for _, bkName := range backend.Names() {
-				bk, err := backend.Get(bkName)
+			t.Run(name+"/"+kname+"/irdump", func(t *testing.T) {
+				out, err := backend.IRDump(k)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("IRDump: %v", err)
 				}
-				t.Run(name+"/"+kname+"/"+bkName, func(t *testing.T) {
-					out, err := bk.Emit(k)
-					if err != nil {
-						t.Fatalf("Emit: %v", err)
+				again, err := backend.IRDump(k)
+				if err != nil {
+					t.Fatalf("second IRDump: %v", err)
+				}
+				if !bytes.Equal(out, again) {
+					t.Fatal("dump is not deterministic")
+				}
+				golden := filepath.Join("testdata", name, kname+".ir.golden")
+				if *update {
+					if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+						t.Fatal(err)
 					}
-					again, err := bk.Emit(k)
-					if err != nil {
-						t.Fatalf("second Emit: %v", err)
+					if err := os.WriteFile(golden, out, 0o644); err != nil {
+						t.Fatal(err)
 					}
-					if !bytes.Equal(out, again) {
-						t.Fatal("emission is not deterministic")
-					}
-					if bkName == "gosrc" {
-						fset := token.NewFileSet()
-						if _, err := parser.ParseFile(fset, kname+".go", out, 0); err != nil {
-							t.Fatalf("emitted Go does not parse: %v", err)
-						}
-					}
-					golden := filepath.Join("testdata", name, kname+"."+goldenExt(bkName))
-					if *update {
-						if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-							t.Fatal(err)
-						}
-						if err := os.WriteFile(golden, out, 0o644); err != nil {
-							t.Fatal(err)
-						}
-						return
-					}
-					want, err := os.ReadFile(golden)
-					if err != nil {
-						t.Fatalf("missing golden (run with -update): %v", err)
-					}
-					if !bytes.Equal(out, want) {
-						t.Errorf("emitted %s for %s/%s differs from golden %s (len %d vs %d); run with -update if intended",
-							bkName, name, kname, golden, len(out), len(want))
-					}
-				})
-			}
+					return
+				}
+				want, err := os.ReadFile(golden)
+				if err != nil {
+					t.Fatalf("missing golden (run with -update): %v", err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Errorf("IR dump of %s/%s differs from golden %s (len %d vs %d); run with -update if intended",
+						name, kname, golden, len(out), len(want))
+				}
+			})
 		}
 	}
-}
-
-func goldenExt(backendName string) string {
-	if backendName == "gosrc" {
-		return "go.golden"
-	}
-	return "ir.golden"
 }

@@ -11,22 +11,19 @@ import (
 	"maligo/internal/clc/types"
 )
 
-// irDump renders the versioned canonical textual form of a kernel.
+// irDumpVersion is bumped on any change to the dump grammar.
+const irDumpVersion = 1
+
+// IRDump renders the versioned canonical textual form of a kernel.
 //
 // The format is line-oriented and complete: every Instr field that
 // affects execution appears (operands, immediates with exact float
 // bits, width, both bases, source position), so a dump fully
 // determines engine behaviour and two kernels dump equal iff they
-// execute identically. The version header guards snapshot churn: any
-// format change must bump it.
-type irDump struct{}
-
-// irDumpVersion is bumped on any change to the dump grammar.
-const irDumpVersion = 1
-
-func (irDump) Name() string { return "irdump" }
-
-func (irDump) Emit(k *ir.Kernel) ([]byte, error) {
+// execute identically. Equal kernels produce byte-equal dumps. The
+// version header guards snapshot churn: any format change must bump
+// it.
+func IRDump(k *ir.Kernel) ([]byte, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; maligo irdump v%d\n", irDumpVersion)
 	fmt.Fprintf(&b, "kernel %s\n", k.Name)

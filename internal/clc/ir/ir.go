@@ -263,17 +263,12 @@ type Kernel struct {
 	RestrictParams int
 	ConstParams    int
 
-	// compiled and laneForm cache execution-engine compiled forms of
-	// the kernel (internal/vm stores its closure program in compiled
-	// and its lock-step lane program in laneForm, typed as `any` so ir
-	// stays free of a vm dependency). Each slot is written at most
-	// with one concrete type — an atomic.Value cannot change types —
-	// which is why the two engine tiers get separate slots instead of
-	// sharing one. Concurrent compilers may race to fill a slot, which
-	// is benign because compilation is a pure function of the
-	// (immutable) kernel.
+	// compiled caches the execution engine's compiled form of the
+	// kernel (internal/vm stores its closure program here, typed as
+	// `any` so ir stays free of a vm dependency). Concurrent compilers
+	// may race to fill it, which is benign because compilation is a
+	// pure function of the (immutable) kernel.
 	compiled atomic.Value
-	laneForm atomic.Value
 }
 
 // CompiledForm returns the execution engine's cached compiled form of
@@ -283,16 +278,6 @@ func (k *Kernel) CompiledForm() any { return k.compiled.Load() }
 // SetCompiledForm caches an engine's compiled form on the kernel so
 // every enqueue after the first reuses it.
 func (k *Kernel) SetCompiledForm(v any) { k.compiled.Store(v) }
-
-// LaneForm returns the lane engine's cached compiled form of the
-// kernel, or nil when it has not been built yet. It is a second slot
-// deliberately separate from CompiledForm: an atomic.Value must only
-// ever hold one concrete type, and both engine tiers may memoize
-// against the same kernel.
-func (k *Kernel) LaneForm() any { return k.laneForm.Load() }
-
-// SetLaneForm caches the lane engine's compiled form on the kernel.
-func (k *Kernel) SetLaneForm(v any) { k.laneForm.Store(v) }
 
 // RegisterFootprint estimates the per-work-item register demand in
 // bytes. Lowering assigns slots without reuse for straight-line

@@ -123,7 +123,7 @@ var diffCases = []diffCase{
 
 // TestDifferentialSuite proves the correctness contract on every
 // representative kernel: results bit-identical to the untransformed
-// interpreter run on all three engines, with several data seeds and
+// interpreter run on both engines, with several data seeds and
 // scalar bindings.
 func TestDifferentialSuite(t *testing.T) {
 	for _, tc := range diffCases {

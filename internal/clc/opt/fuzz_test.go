@@ -9,7 +9,7 @@ import (
 // FuzzTransformEquivalence is the transform engine's standing
 // correctness fuzzer: any OpenCL C source the frontend accepts is
 // compiled, pushed through the full pass pipeline, and every kernel is
-// executed on all three VM engines against the reference interpreter
+// executed on both VM engines against the reference interpreter
 // running the UNTRANSFORMED IR. Any divergence — results, or
 // fault/no-fault disagreement — is a soundness bug in a pass.
 //

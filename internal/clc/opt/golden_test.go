@@ -16,11 +16,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the transform golden file
 
 // renderGolden produces the committed before/after dump for one
 // corpus source: the applied-pass summary, then each kernel's irdump
-// before and after the full pipeline. The irdump backend is versioned,
-// so the goldens are stable across unrelated emitter work.
+// before and after the full pipeline. The irdump format is versioned,
+// so the goldens are stable across unrelated compiler work.
 func renderGolden(t *testing.T, name, src string) string {
 	t.Helper()
-	be, _ := backend.Get("irdump")
 	prog, out, rep := optimizeOne(t, src, nil)
 	var b strings.Builder
 	fmt.Fprintf(&b, "; transform golden for %s\n", name)
@@ -31,11 +30,11 @@ func renderGolden(t *testing.T, name, src string) string {
 		fmt.Fprintf(&b, "; passes applied: %s\n", strings.Join(applied, ", "))
 	}
 	for _, kn := range kernelNames(prog) {
-		before, err := be.Emit(prog.Kernels[kn])
+		before, err := backend.IRDump(prog.Kernels[kn])
 		if err != nil {
 			t.Fatalf("irdump before %s: %v", kn, err)
 		}
-		after, err := be.Emit(out.Kernels[kn])
+		after, err := backend.IRDump(out.Kernels[kn])
 		if err != nil {
 			t.Fatalf("irdump after %s: %v", kn, err)
 		}

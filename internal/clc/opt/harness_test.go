@@ -145,19 +145,12 @@ const (
 	diffStepLimit = 1 << 22
 )
 
-var allEngines = []struct {
-	name string
-	eng  vm.Engine
-}{
-	{"interp", vm.EngineInterp},
-	{"compiled", vm.EngineCompiled},
-	{"lanes", vm.EngineLanes},
-}
+var allEngines = []vm.Engine{vm.EngineInterp, vm.EngineCompiled}
 
 // checkEquivalence is the differential contract: the reference
 // interpreter on the UNTRANSFORMED kernel is the oracle; the
 // transformed kernel must reproduce its final memory image
-// bit-for-bit on all three engines. If the oracle faults, the
+// bit-for-bit on both engines. If the oracle faults, the
 // transformed kernel must fault too (messages may differ). The
 // transformed kernel gets a larger step budget: address fixups and
 // remainder loops add instructions without changing results.
@@ -166,19 +159,19 @@ func checkEquivalence(t *testing.T, orig, xform *ir.Kernel, global, local int, s
 	args, _ := autoArgs(orig, diffArena, scalarVal)
 	want, oracleErr := runKernel(orig, args, global, local, diffArena, seed, vm.EngineInterp, diffStepLimit)
 	for _, e := range allEngines {
-		got, err := runKernel(xform, args, global, local, diffArena, seed, e.eng, 4*diffStepLimit+1024)
+		got, err := runKernel(xform, args, global, local, diffArena, seed, e, 4*diffStepLimit+1024)
 		if oracleErr != nil {
 			if err == nil {
-				t.Errorf("%s: oracle faulted (%v) but transformed kernel succeeded", e.name, oracleErr)
+				t.Errorf("%v: oracle faulted (%v) but transformed kernel succeeded", e, oracleErr)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("%s: transformed kernel faulted: %v", e.name, err)
+			t.Errorf("%v: transformed kernel faulted: %v", e, err)
 			continue
 		}
 		if !bytes.Equal(want, got) {
-			t.Errorf("%s: transformed kernel diverges from interpreter oracle at %s", e.name, firstDiff(want, got))
+			t.Errorf("%v: transformed kernel diverges from interpreter oracle at %s", e, firstDiff(want, got))
 		}
 	}
 }

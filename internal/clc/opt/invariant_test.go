@@ -89,9 +89,8 @@ func fuzzSeedSource(t *testing.T, path string) string {
 // eachPass replays optimizeKernel's pipeline on a clone of k, calling
 // check after every pass with the kernel state before and after it.
 func eachPass(k *ir.Kernel, check func(p Pass, applied bool, before string, work *ir.Kernel)) {
-	be, _ := backend.Get("irdump")
 	dump := func(k *ir.Kernel) string {
-		b, err := be.Emit(k)
+		b, err := backend.IRDump(k)
 		if err != nil {
 			return "irdump error: " + err.Error()
 		}
@@ -109,14 +108,13 @@ func eachPass(k *ir.Kernel, check func(p Pass, applied bool, before string, work
 // reuse rests on: a pass that reports no change must not have touched
 // the kernel at all.
 func TestRefusalLeavesKernelUnchanged(t *testing.T) {
-	be, _ := backend.Get("irdump")
 	for _, cp := range invariantCorpus(t) {
 		for _, kn := range kernelNames(cp.prog) {
 			eachPass(cp.prog.Kernels[kn], func(p Pass, applied bool, before string, work *ir.Kernel) {
 				if applied {
 					return
 				}
-				after, _ := be.Emit(work)
+				after, _ := backend.IRDump(work)
 				if string(after) != before {
 					t.Errorf("%s/%s: pass %s refused but changed the kernel", cp.name, kn, p.Name)
 				}

@@ -88,15 +88,14 @@ func TestChangedProgramSharesUntouchedKernels(t *testing.T) {
 }
 
 func TestInputProgramNeverMutated(t *testing.T) {
-	be, _ := backend.Get("irdump")
 	for _, tc := range diffCases {
 		prog := mustCompile(t, tc.src)
-		before, err := be.Emit(prog.Kernels[tc.kernel])
+		before, err := backend.IRDump(prog.Kernels[tc.kernel])
 		if err != nil {
 			t.Fatalf("%s: irdump: %v", tc.name, err)
 		}
 		Optimize(prog)
-		after, _ := be.Emit(prog.Kernels[tc.kernel])
+		after, _ := backend.IRDump(prog.Kernels[tc.kernel])
 		if !bytes.Equal(before, after) {
 			t.Errorf("%s: Optimize mutated its input program", tc.name)
 		}
@@ -107,7 +106,6 @@ func TestInputProgramNeverMutated(t *testing.T) {
 // kernel and requires byte-identical irdump output: the transform
 // framework may not depend on map iteration order anywhere.
 func TestOptimizeDeterministic(t *testing.T) {
-	be, _ := backend.Get("irdump")
 	for _, tc := range diffCases {
 		_, out1, rep1 := optimizeOne(t, tc.src, nil)
 		_, out2, rep2 := optimizeOne(t, tc.src, nil)
@@ -115,8 +113,8 @@ func TestOptimizeDeterministic(t *testing.T) {
 			t.Errorf("%s: reports differ between runs", tc.name)
 		}
 		for _, name := range kernelNames(out1) {
-			d1, _ := be.Emit(out1.Kernels[name])
-			d2, _ := be.Emit(out2.Kernels[name])
+			d1, _ := backend.IRDump(out1.Kernels[name])
+			d2, _ := backend.IRDump(out2.Kernels[name])
 			if !bytes.Equal(d1, d2) {
 				t.Errorf("%s/%s: transformed IR differs between identical runs", tc.name, name)
 			}

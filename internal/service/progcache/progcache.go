@@ -40,12 +40,10 @@ type Entry struct {
 	Analyzed bool
 	Diags    []analysis.Diagnostic
 
-	// EngineTier records the newest execution tier the compiling
-	// daemon knew about. The lane engine (tier 3) leans on IR
-	// invariants older lowerings never promised (block boundaries,
-	// pre-decoded execution units), so a persisted binary from an
-	// older daemon — gob decodes its absent field as 0 — is recompiled
-	// on load rather than trusted, exactly like pre-analyzer binaries.
+	// EngineTier records the engine generation of the compiling
+	// daemon (see CurrentEngineTier). A persisted binary from an older
+	// daemon — gob decodes its absent field as 0 — is recompiled on
+	// load rather than trusted, exactly like pre-analyzer binaries.
 	EngineTier int
 
 	// Optimized marks entries holding transform-pipeline output; their
@@ -57,8 +55,12 @@ type Entry struct {
 }
 
 // CurrentEngineTier is the engine generation stamped into new cache
-// entries: 1 interpreter, 2 compiled closures, 3 lock-step lanes.
-// Bump it whenever a new tier changes what the IR contract promises.
+// entries: 1 interpreter, 2 compiled closures, 3 the generation that
+// shipped with a lock-step lane engine, since removed. It stays at 3:
+// the stamp is a stored value that rejects stale on-disk binaries, and
+// lowering it would make a daemon accept the tier-2 binaries it
+// rejects today. Bump it whenever a change alters what the IR contract
+// promises; never lower it.
 const CurrentEngineTier = 3
 
 // MaxSeverity returns the highest diagnostic severity in the entry.

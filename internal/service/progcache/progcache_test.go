@@ -196,7 +196,7 @@ func TestDiagnosticsPersist(t *testing.T) {
 }
 
 // TestEngineTierSkewRecompiles proves the engine-generation stamp
-// gates disk reloads: a binary persisted by a pre-lanes daemon (its
+// gates disk reloads: a binary persisted by a pre-tier-3 daemon (its
 // gob carries no EngineTier field, decoding as tier 0) fails
 // verification and is recompiled, while a freshly stamped binary
 // round-trips. This is how a cache directory survives engine upgrades

@@ -141,17 +141,17 @@ func TestDVFSMonotonicity(t *testing.T) {
 }
 
 // TestAutotuneEngineDifferential turns the built-in cross-engine
-// check on: every candidate runs under the interpreter oracle and
-// both fast engines, and Run fails unless all three agree bit-for-bit
-// on every simulated observable the search scores.
+// check on: every candidate runs under the interpreter oracle and the
+// compiled engine, and Run fails unless both agree bit-for-bit on
+// every simulated observable the search scores.
 func TestAutotuneEngineDifferential(t *testing.T) {
 	space := smallSpace()
-	space.Engines = []vm.Engine{vm.EngineInterp, vm.EngineCompiled, vm.EngineLanes}
+	space.Engines = []vm.Engine{vm.EngineInterp, vm.EngineCompiled}
 	rep, err := Run(space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Engines) != 3 {
+	if len(rep.Engines) != 2 {
 		t.Fatalf("engines = %v", rep.Engines)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Engine selects which of the VM's three execution engines runs a
+// Engine selects which of the VM's two execution engines runs a
 // work-group.
 //
 // The interpreter (EngineInterp) is the reference engine: a simple
@@ -16,15 +16,11 @@ import (
 // translates the IR once per kernel into a flat program of pre-decoded
 // Go closures — operands resolved, register slots bound, common
 // adjacent pairs fused into superinstructions — and caches the result
-// on the kernel object. The lane engine (EngineLanes) goes one tier
-// further: it executes work-items in lock-step SIMT batches of
-// LaneWidth lanes over the same pre-decoded units, amortizing every
-// dispatch across the batch the way a Mali shader core amortizes
-// instruction issue across a warp. All engines produce bit-identical
-// memory contents, execution profiles, observer callback streams and
-// faults; the differential test suite and FuzzEngineEquivalence
-// enforce that three ways, which is what lets the fast paths be
-// selectable without changing any observable.
+// on the kernel object. Both engines produce bit-identical memory
+// contents, execution profiles, observer callback streams and faults;
+// the differential test suite and FuzzEngineEquivalence enforce that,
+// which is what lets the fast path be the default without changing any
+// observable.
 type Engine uint8
 
 // Engines.
@@ -35,12 +31,6 @@ const (
 	EngineInterp
 	// EngineCompiled forces the closure-compiled fast path.
 	EngineCompiled
-	// EngineLanes forces the lock-step lane-batched SIMT executor
-	// (tier 3). Kernels using atomics fall back to the compiled engine
-	// for the whole group — lock-step atomic interleaving cannot be
-	// bit-identical to serial execution — so the observable contract
-	// holds unconditionally.
-	EngineLanes
 )
 
 func (e Engine) String() string {
@@ -49,8 +39,6 @@ func (e Engine) String() string {
 		return "interp"
 	case EngineCompiled:
 		return "compiled"
-	case EngineLanes:
-		return "lanes"
 	default:
 		return "auto"
 	}
@@ -58,8 +46,7 @@ func (e Engine) String() string {
 
 // UseCompiled reports whether this engine choice runs pre-decoded
 // units rather than the reference interpreter (EngineAuto resolves to
-// the compiled engine; EngineLanes executes the lane program built
-// from the same pre-decode).
+// the compiled engine).
 func (e Engine) UseCompiled() bool { return e != EngineInterp }
 
 // ErrUnknownEngine is the typed error ParseEngine wraps for
@@ -68,8 +55,8 @@ func (e Engine) UseCompiled() bool { return e != EngineInterp }
 var ErrUnknownEngine = errors.New("vm: unknown engine")
 
 // ParseEngine parses an engine name: "auto" (or empty), "interp" /
-// "interpreter", "compiled", "lanes" / "simt". Unknown names return an
-// error wrapping ErrUnknownEngine.
+// "interpreter", "compiled". Unknown names return an error wrapping
+// ErrUnknownEngine.
 func ParseEngine(s string) (Engine, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "auto":
@@ -78,10 +65,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineInterp, nil
 	case "compiled", "compile", "closure":
 		return EngineCompiled, nil
-	case "lanes", "lane", "simt":
-		return EngineLanes, nil
 	}
-	return EngineAuto, fmt.Errorf("%w %q (auto, interp, compiled, lanes)", ErrUnknownEngine, s)
+	return EngineAuto, fmt.Errorf("%w %q (auto, interp, compiled)", ErrUnknownEngine, s)
 }
 
 // EngineEnvVar is the environment escape hatch consulted by

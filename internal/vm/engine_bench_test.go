@@ -9,10 +9,9 @@ import (
 )
 
 // Engine benchmarks: one full work-group execution per iteration, the
-// same kernels under the reference interpreter, the compiled fast path
-// and the lock-step lane engine. `make bench` records them in
-// BENCH_vm_v2.json; compare against the committed baseline before
-// touching any engine's hot path.
+// same kernels under the reference interpreter and the compiled fast
+// path. `make bench` records them in BENCH_vm_v2.json; compare against
+// the committed baseline before touching either engine's hot path.
 //
 // The three kernels cover the execution profiles that dominate the
 // paper's benchmarks: a multiply-accumulate loop (arithmetic pipe), a
@@ -91,9 +90,6 @@ func BenchmarkEngine(b *testing.B) {
 		})
 		b.Run(k.name+"/compiled", func(b *testing.B) {
 			benchmarkEngineKernel(b, k.src, vm.EngineCompiled)
-		})
-		b.Run(k.name+"/lanes", func(b *testing.B) {
-			benchmarkEngineKernel(b, k.src, vm.EngineLanes)
 		})
 	}
 }

@@ -14,12 +14,9 @@ import (
 // fuzzKernelSource builds the generated kernel for one fuzz input. The
 // seed's low bits pick one of three templates: the original
 // expression-tree shape, a divergent-control shape (data-dependent
-// branches so lanes of one batch take different paths and must
-// re-merge), and a barrier-in-loop shape (barriers inside a
-// data-dependent loop so the lock-step phase protocol is exercised
-// against the serial one). Shapes 1 and 2 are the mandatory seeds of
-// the SIMT bug-class hunt: masked-lane side effects and barrier
-// reconvergence bugs only show up under divergence.
+// branches so work-items of one group take different paths), and a
+// barrier-in-loop shape (barriers inside a data-dependent loop so the
+// phase protocol runs a data-dependent number of times).
 func fuzzKernelSource(seed uint64, expr string) string {
 	switch (seed >> 1) % 3 {
 	case 1: // divergent control: branches + early loop exit keyed on gid
@@ -84,8 +81,8 @@ func fuzzKernelSource(seed uint64, expr string) string {
 // random kernel (expression tree over scalars plus global loads, a
 // private scratch array, data-dependent control flow and optionally
 // barriers in loops), runs the same work-group under the reference
-// interpreter, the compiled fast path and the lock-step lane engine,
-// and requires all three to agree on every outcome — the final global
+// interpreter and the compiled fast path, and requires both to agree
+// on every outcome — the final global
 // memory image and execution profile on success, the fault on failure.
 // The loop bounds and the scratch index derive from fuzz inputs, so
 // the corpus naturally explores step-limit exhaustion, divergence
@@ -109,9 +106,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint64(0xFFFFFFFFFFFFFFFF), int32(1<<31-1), int32(1<<31-1), int32(128)) // overflow mid-chain
 	f.Add(uint64(2), int32(0), int32(-(1 << 31)), int32(131))                     // aliased loads, odd chain length
 	f.Add(uint64(0x123456789ABCDEF), int32(85), int32(-86), int32(252))           // near-max chain, sign flips
-	// Mandatory SIMT seeds: template 1 (divergent control — per-lane
-	// branch and loop trip counts) and template 2 (barrier in a
-	// data-dependent loop) at characteristic corners, including
+	// Divergent-control seeds: template 1 (per-work-item branch and
+	// loop trip counts) and template 2 (barrier in a data-dependent
+	// loop) at characteristic corners, including
 	// step-limit exhaustion inside the divergent region and the
 	// private out-of-bounds fault behind a divergent branch.
 	f.Add(uint64(3), int32(5), int32(2), int32(63))       // divergent control, both arms taken
@@ -155,25 +152,23 @@ func FuzzEngineEquivalence(f *testing.F) {
 		}
 
 		refMem, refProf, refErr := run(vm.EngineInterp)
-		for _, eng := range []vm.Engine{vm.EngineCompiled, vm.EngineLanes} {
-			gotMem, gotProf, gotErr := run(eng)
-			if (refErr == nil) != (gotErr == nil) {
-				t.Fatalf("engines disagree on failure:\n interp: %v\n %v: %v\nexpr: %s", refErr, eng, gotErr, expr)
+		gotMem, gotProf, gotErr := run(vm.EngineCompiled)
+		if (refErr == nil) != (gotErr == nil) {
+			t.Fatalf("engines disagree on failure:\n interp:   %v\n compiled: %v\nexpr: %s", refErr, gotErr, expr)
+		}
+		if refErr != nil {
+			// On failure callers discard memory and profile; the
+			// engines must agree on the fault itself.
+			if refErr.Error() != gotErr.Error() {
+				t.Fatalf("fault differs:\n interp:   %v\n compiled: %v\nexpr: %s", refErr, gotErr, expr)
 			}
-			if refErr != nil {
-				// On failure callers discard memory and profile; the
-				// engines must agree on the fault itself.
-				if refErr.Error() != gotErr.Error() {
-					t.Fatalf("fault differs:\n interp: %v\n %v: %v\nexpr: %s", refErr, eng, gotErr, expr)
-				}
-				continue
-			}
-			if !bytes.Equal(refMem, gotMem) {
-				t.Fatalf("global memory differs\n interp: %v\n %v: %v\nexpr: %s", refMem, eng, gotMem, expr)
-			}
-			if !reflect.DeepEqual(refProf, gotProf) {
-				t.Fatalf("profiles differ\n interp: %+v\n %v: %+v\nexpr: %s", refProf, eng, gotProf, expr)
-			}
+			return
+		}
+		if !bytes.Equal(refMem, gotMem) {
+			t.Fatalf("global memory differs\n interp:   %v\n compiled: %v\nexpr: %s", refMem, gotMem, expr)
+		}
+		if !reflect.DeepEqual(refProf, gotProf) {
+			t.Fatalf("profiles differ\n interp:   %+v\n compiled: %+v\nexpr: %s", refProf, gotProf, expr)
 		}
 	})
 }

@@ -14,11 +14,11 @@ import (
 
 // streamObserver records the full ordered observer callback stream —
 // every OnContext and OnAccess/OnAtomic with all arguments — so tests
-// can require the lane engine's replayed stream to be event-for-event
-// identical to the serial engines'. This is the sharpest pin on the
-// masked-lane side-effect bug class: an inactive lane that writes
-// memory, emits a trace record, or faults differently shows up here as
-// a stream diff even when the final memory image happens to agree.
+// can require the compiled engine's stream to be event-for-event
+// identical to the interpreter's. This is the sharpest pin on
+// divergent-control bugs: a work-item that writes memory, emits a
+// trace record, or faults differently shows up here as a stream diff
+// even when the final memory image happens to agree.
 type streamObserver struct {
 	events []streamEvent
 }
@@ -46,11 +46,11 @@ func (o *streamObserver) OnContext(item, phase, line int) {
 
 func (o *streamObserver) ContextActive() bool { return true }
 
-// runLanesVsInterp executes the same work-group under the interpreter
-// and the lane engine with full stream observation and requires every
-// observable to match: memory, profile, error, and the ordered
-// callback stream.
-func runLanesVsInterp(t *testing.T, src, kernel string, local int, args func(*flatMem) []vm.ArgValue, stepLimit uint64) {
+// runCompiledVsInterp executes the same work-group under the
+// interpreter and the compiled engine with full stream observation and
+// requires every observable to match: memory, profile, error, and the
+// ordered callback stream.
+func runCompiledVsInterp(t *testing.T, src, kernel string, local int, args func(*flatMem) []vm.ArgValue, stepLimit uint64) {
 	t.Helper()
 	prog := mustCompile(t, src, "")
 	run := func(eng vm.Engine) ([]byte, vm.Profile, []streamEvent, error) {
@@ -72,36 +72,36 @@ func runLanesVsInterp(t *testing.T, src, kernel string, local int, args func(*fl
 		return mem.global, prof, obs.events, err
 	}
 	refMem, refProf, refEvents, refErr := run(vm.EngineInterp)
-	gotMem, gotProf, gotEvents, gotErr := run(vm.EngineLanes)
+	gotMem, gotProf, gotEvents, gotErr := run(vm.EngineCompiled)
 
 	if (refErr == nil) != (gotErr == nil) || (refErr != nil && refErr.Error() != gotErr.Error()) {
-		t.Fatalf("errors differ:\n interp: %v\n lanes:  %v", refErr, gotErr)
+		t.Fatalf("errors differ:\n interp:   %v\n compiled: %v", refErr, gotErr)
 	}
 	if len(refEvents) != len(gotEvents) {
-		t.Fatalf("observer stream length differs: interp %d, lanes %d", len(refEvents), len(gotEvents))
+		t.Fatalf("observer stream length differs: interp %d, compiled %d", len(refEvents), len(gotEvents))
 	}
 	for i := range refEvents {
 		if refEvents[i] != gotEvents[i] {
-			t.Fatalf("observer stream diverges at event %d:\n interp: %+v\n lanes:  %+v", i, refEvents[i], gotEvents[i])
+			t.Fatalf("observer stream diverges at event %d:\n interp:   %+v\n compiled: %+v", i, refEvents[i], gotEvents[i])
 		}
 	}
 	if refErr != nil {
 		return // callers discard memory and profile on failure
 	}
 	if !bytes.Equal(refMem, gotMem) {
-		t.Fatalf("memory differs:\n interp: %v\n lanes:  %v", refMem, gotMem)
+		t.Fatalf("memory differs:\n interp:   %v\n compiled: %v", refMem, gotMem)
 	}
 	if !reflect.DeepEqual(refProf, gotProf) {
-		t.Fatalf("profiles differ:\n interp: %+v\n lanes:  %+v", refProf, gotProf)
+		t.Fatalf("profiles differ:\n interp:   %+v\n compiled: %+v", refProf, gotProf)
 	}
 }
 
-// TestLanesMaskedLaneSideEffects pins the SIMT predication bug class
-// on divergent kernels: lanes disabled by a branch must not write
-// memory, bump counters or emit trace records. Each kernel makes only
-// a data-dependent subset of lanes perform stores; the lane engine's
-// replayed stream must be event-for-event the interpreter's.
-func TestLanesMaskedLaneSideEffects(t *testing.T) {
+// TestCompiledDivergentStores runs divergent kernels in which only a
+// data-dependent subset of work-items performs stores; work-items that
+// skip a branch must not write memory, bump counters or emit trace
+// records. The compiled engine's stream must be event-for-event the
+// interpreter's.
+func TestCompiledDivergentStores(t *testing.T) {
 	const src = `
 __kernel void masked(__global int* out) {
 	int gid = get_global_id(0);
@@ -129,18 +129,19 @@ __kernel void masked_loop(__global int* out) {
 	for _, k := range []string{"masked", "masked_loop"} {
 		k := k
 		t.Run(k, func(t *testing.T) {
-			runLanesVsInterp(t, src, k, 16, args, 0)
+			runCompiledVsInterp(t, src, k, 16, args, 0)
 		})
 	}
 }
 
-// TestLanesObserverCorpusIdentical replays the race-detector and
+// TestCompiledObserverCorpusIdentical runs the race-detector and
 // line-profiler corpus kernels (racy local-memory shift, its
-// barrier-fixed variant) under the lane engine, requiring the ordered
-// observer stream to match the interpreter exactly. The racy kernel is
-// the golden for stream-derived observables: races and hot lines are
-// computed from this stream, so stream identity pins them.
-func TestLanesObserverCorpusIdentical(t *testing.T) {
+// barrier-fixed variant) under the compiled engine, requiring the
+// ordered observer stream and the memory image to match the
+// interpreter exactly. The racy kernel is the golden for
+// stream-derived observables: races and hot lines are computed from
+// this stream, so stream identity pins them.
+func TestCompiledObserverCorpusIdentical(t *testing.T) {
 	const local = 8
 	args := func(m *flatMem) []vm.ArgValue {
 		return []vm.ArgValue{
@@ -172,25 +173,23 @@ func TestLanesObserverCorpusIdentical(t *testing.T) {
 				return obs.events, mem.global
 			}
 			refEvents, refMem := run(vm.EngineInterp)
-			gotEvents, gotMem := run(vm.EngineLanes)
+			gotEvents, gotMem := run(vm.EngineCompiled)
 			if !reflect.DeepEqual(refEvents, gotEvents) {
-				t.Fatalf("observer streams differ (interp %d events, lanes %d)", len(refEvents), len(gotEvents))
+				t.Fatalf("observer streams differ (interp %d events, compiled %d)", len(refEvents), len(gotEvents))
 			}
-			// Racy memory is undefined — lock-step execution legitimately
-			// observes neighbours' same-phase writes the serial engines
-			// haven't made yet — so only the race-free variant pins the
-			// memory image. The replayed stream above must match for both.
-			if k == "shift_fixed" && !bytes.Equal(refMem, gotMem) {
+			// Both engines run work-items in the same serial order, so
+			// even the racy kernel's memory image must match.
+			if !bytes.Equal(refMem, gotMem) {
 				t.Fatalf("memory differs on %s", k)
 			}
 		})
 	}
 }
 
-// TestLanesDivergenceReconverges checks min-pc block scheduling: lanes
-// that branch apart re-merge at the post-dominator and finish with the
-// serial engines' exact state, including nested and loop divergence.
-func TestLanesDivergenceReconverges(t *testing.T) {
+// TestCompiledDivergence checks work-items that branch apart, through
+// nested and loop divergence, finish with the interpreter's exact
+// state.
+func TestCompiledDivergence(t *testing.T) {
 	const src = `
 __kernel void diverge(__global int* out, const int n) {
 	int gid = get_global_id(0);
@@ -203,15 +202,15 @@ __kernel void diverge(__global int* out, const int n) {
 	out[gid] = v + 7;
 }
 `
-	runLanesVsInterp(t, src, "diverge", 16, func(m *flatMem) []vm.ArgValue {
+	runCompiledVsInterp(t, src, "diverge", 16, func(m *flatMem) []vm.ArgValue {
 		return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}, {Bits: 3}}
 	}, 0)
 }
 
-// TestLanesBarrierPhases checks the full-batch barrier sync point
-// against the serial phase protocol, including work between barriers
-// that depends on what other work-items wrote in the previous phase.
-func TestLanesBarrierPhases(t *testing.T) {
+// TestCompiledBarrierPhases checks the barrier phase protocol, including
+// work between barriers that depends on what other work-items wrote in
+// the previous phase.
+func TestCompiledBarrierPhases(t *testing.T) {
 	const src = `
 __kernel void phases(__global int* out, __local int* tile) {
 	int lid = get_local_id(0);
@@ -225,9 +224,7 @@ __kernel void phases(__global int* out, __local int* tile) {
 	out[lid] = tile[(lid + n - 1) % n];
 }
 `
-	// 20 work-items: one full batch plus a partial tail batch, so the
-	// cross-batch barrier protocol is exercised too.
-	runLanesVsInterp(t, src, "phases", 20, func(m *flatMem) []vm.ArgValue {
+	runCompiledVsInterp(t, src, "phases", 20, func(m *flatMem) []vm.ArgValue {
 		return []vm.ArgValue{
 			{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)},
 			{LocalSize: 32 * 4},
@@ -235,9 +232,9 @@ __kernel void phases(__global int* out, __local int* tile) {
 	}, 0)
 }
 
-// TestLanesBarrierDivergence: work-items disagreeing on barrier
+// TestEngineBarrierDivergence: work-items disagreeing on barrier
 // execution must yield ErrBarrierDivergence from every engine.
-func TestLanesBarrierDivergence(t *testing.T) {
+func TestEngineBarrierDivergence(t *testing.T) {
 	const src = `
 __kernel void bardiv(__global int* out) {
 	int lid = get_local_id(0);
@@ -248,7 +245,7 @@ __kernel void bardiv(__global int* out) {
 }
 `
 	prog := mustCompile(t, src, "")
-	for _, eng := range []vm.Engine{vm.EngineInterp, vm.EngineCompiled, vm.EngineLanes} {
+	for _, eng := range []vm.Engine{vm.EngineInterp, vm.EngineCompiled} {
 		mem := newFlatMem(4096, nil)
 		cfg := &vm.GroupConfig{
 			Kernel:     prog.Kernel("bardiv"),
@@ -266,13 +263,12 @@ __kernel void bardiv(__global int* out) {
 	}
 }
 
-// TestLanesStepLimitBoundary sweeps the step limit across the exact
-// serial trip point. The limit is group-cumulative, so under lock-step
-// execution the lane engine must reconstruct precisely which work-item
-// the interpreter would have tripped on — including the stream
-// truncation point — for limits landing before, on and after item
-// boundaries.
-func TestLanesStepLimitBoundary(t *testing.T) {
+// TestCompiledStepLimitBoundary sweeps the step limit across the exact
+// trip point. The limit is group-cumulative, so the compiled engine
+// must trip on precisely the work-item the interpreter trips on —
+// including the stream truncation point — for limits landing before,
+// on and after item boundaries.
+func TestCompiledStepLimitBoundary(t *testing.T) {
 	const src = `
 __kernel void work(__global int* out) {
 	int gid = get_global_id(0);
@@ -299,16 +295,16 @@ __kernel void work(__global int* out) {
 	for _, limit := range []uint64{1, 2, 3, total / 4, total / 2, total - 1, total, total + 1} {
 		limit := limit
 		t.Run("", func(t *testing.T) {
-			runLanesVsInterp(t, src, "work", 8, args, limit)
+			runCompiledVsInterp(t, src, "work", 8, args, limit)
 		})
 	}
 }
 
-// TestLanesFaultIdentity: out-of-bounds accesses must surface the
+// TestCompiledFaultIdentity: out-of-bounds accesses must surface the
 // byte-identical error from the same work-item, with observer streams
-// truncated at the same event — even when the faulting lane is in the
-// middle of a batch and other lanes would have kept running.
-func TestLanesFaultIdentity(t *testing.T) {
+// truncated at the same event — including a fault in the middle of the
+// group, after which later work-items must not run.
+func TestCompiledFaultIdentity(t *testing.T) {
 	const src = `
 __kernel void oob(__global int* out, const int bad) {
 	int gid = get_global_id(0);
@@ -321,29 +317,23 @@ __kernel void oob(__global int* out, const int bad) {
 	for _, bad := range []int64{0, 3, 7, 15} {
 		bad := bad
 		t.Run("", func(t *testing.T) {
-			runLanesVsInterp(t, src, "oob", 16, func(m *flatMem) []vm.ArgValue {
+			runCompiledVsInterp(t, src, "oob", 16, func(m *flatMem) []vm.ArgValue {
 				return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}, {Bits: bad}}
 			}, 0)
 		})
 	}
 }
 
-// TestLanesAtomicsFallback: kernels containing atomics run on the
-// compiled engine even under EngineLanes (lock-step atomic
-// interleaving cannot match serial execution), so results stay
-// bit-identical to the oracle.
-func TestLanesAtomicsFallback(t *testing.T) {
+// TestCompiledAtomics: atomic read-modify-writes, including the extra
+// OnAtomic callbacks, must match the oracle bit for bit.
+func TestCompiledAtomics(t *testing.T) {
 	const src = `
 __kernel void count(__global int* hist, __global const int* in) {
 	int gid = get_global_id(0);
 	atomic_add(&hist[in[gid] & 3], 1);
 }
 `
-	prog := mustCompile(t, src, "")
-	if lc := vm.CompileLanes(prog.Kernel("count")); !lc.HasAtomics() {
-		t.Fatal("lane compiler should flag the atomic kernel")
-	}
-	runLanesVsInterp(t, src, "count", 16, func(m *flatMem) []vm.ArgValue {
+	runCompiledVsInterp(t, src, "count", 16, func(m *flatMem) []vm.ArgValue {
 		for i := 0; i < 16; i++ {
 			m.putI32(64+4*i, int32(i*7))
 		}
@@ -354,10 +344,10 @@ __kernel void count(__global int* hist, __global const int* in) {
 	}, 0)
 }
 
-// TestLanesPCOutOfRange: a hand-built kernel that jumps past the end
-// of its code must fault with the serial engines' exact pc error, not
+// TestEnginePCOutOfRange: a hand-built kernel that jumps past the end
+// of its code must fault with the interpreter's exact pc error, not
 // crash, and the error must not consume a step.
-func TestLanesPCOutOfRange(t *testing.T) {
+func TestEnginePCOutOfRange(t *testing.T) {
 	k := &ir.Kernel{
 		Name: "jmpout",
 		Code: []ir.Instr{
@@ -367,7 +357,7 @@ func TestLanesPCOutOfRange(t *testing.T) {
 		NumI: 1,
 	}
 	var want string
-	for _, eng := range []vm.Engine{vm.EngineInterp, vm.EngineCompiled, vm.EngineLanes} {
+	for _, eng := range []vm.Engine{vm.EngineInterp, vm.EngineCompiled} {
 		var prof vm.Profile
 		err := vm.RunGroup(&vm.GroupConfig{
 			Kernel: k, WorkDim: 1,
@@ -385,9 +375,9 @@ func TestLanesPCOutOfRange(t *testing.T) {
 	}
 }
 
-// TestLanesVectorKernel exercises the generic (pFn) executors and the
-// vector memory path: float4 arithmetic with vector loads and stores.
-func TestLanesVectorKernel(t *testing.T) {
+// TestCompiledVectorKernel exercises the vector arithmetic and memory
+// paths: float4 arithmetic with vector loads and stores.
+func TestCompiledVectorKernel(t *testing.T) {
 	const src = `
 __kernel void vec(__global float4* out, __global const float4* in) {
 	int gid = get_global_id(0);
@@ -395,7 +385,7 @@ __kernel void vec(__global float4* out, __global const float4* in) {
 	out[gid] = v * v + (float4)(1.0f, 2.0f, 3.0f, 4.0f);
 }
 `
-	runLanesVsInterp(t, src, "vec", 16, func(m *flatMem) []vm.ArgValue {
+	runCompiledVsInterp(t, src, "vec", 16, func(m *flatMem) []vm.ArgValue {
 		for i := 0; i < 64; i++ {
 			m.putF32(1024+4*i, float32(i)*0.5)
 		}
@@ -406,10 +396,10 @@ __kernel void vec(__global float4* out, __global const float4* in) {
 	}, 0)
 }
 
-// TestLanesBuiltins exercises the gather/scatter builtin path:
+// TestCompiledBuiltins exercises the builtin call path:
 // transcendentals whose profile counting and register traffic must
-// match the serial engines per lane.
-func TestLanesBuiltins(t *testing.T) {
+// match the interpreter per work-item.
+func TestCompiledBuiltins(t *testing.T) {
 	const src = `
 __kernel void transc(__global float* out, __global const float* in) {
 	int gid = get_global_id(0);
@@ -417,7 +407,7 @@ __kernel void transc(__global float* out, __global const float* in) {
 	out[gid] = sqrt(x) + exp(x * 0.01f) * sin(x);
 }
 `
-	runLanesVsInterp(t, src, "transc", 16, func(m *flatMem) []vm.ArgValue {
+	runCompiledVsInterp(t, src, "transc", 16, func(m *flatMem) []vm.ArgValue {
 		for i := 0; i < 16; i++ {
 			m.putF32(256+4*i, float32(i)+0.25)
 		}
@@ -428,10 +418,9 @@ __kernel void transc(__global float* out, __global const float* in) {
 	}, 0)
 }
 
-// TestLanesPartialTailBatch: group sizes that don't divide LaneWidth
-// leave a short tail batch; its lanes must behave exactly like full
-// ones.
-func TestLanesPartialTailBatch(t *testing.T) {
+// TestCompiledGroupSizes runs one kernel over a range of work-group
+// sizes, from a single work-item up, including odd sizes.
+func TestCompiledGroupSizes(t *testing.T) {
 	const src = `
 __kernel void tail(__global int* out) {
 	int gid = get_global_id(0);
@@ -441,7 +430,7 @@ __kernel void tail(__global int* out) {
 	for _, local := range []int{1, 3, 15, 16, 17, 33} {
 		local := local
 		t.Run("", func(t *testing.T) {
-			runLanesVsInterp(t, src, "tail", local, func(m *flatMem) []vm.ArgValue {
+			runCompiledVsInterp(t, src, "tail", local, func(m *flatMem) []vm.ArgValue {
 				return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}}
 			}, 0)
 		})

@@ -5,17 +5,13 @@
 // models in internal/mali and internal/cpu convert into cycles and
 // joules.
 //
-// Three engines implement that contract. The reference interpreter
+// Two engines implement that contract. The reference interpreter
 // (exec.go) decodes and dispatches one instruction per step and serves
 // as the oracle; the closure-compiled fast path (compile.go)
 // pre-decodes each kernel once into flat execution units and is the
-// default; the lane engine (lanes.go) executes work-items in lock-step
-// SIMT batches of LaneWidth lanes over a block program built from the
-// same pre-decode, modelling the warp-style amortization of a Mali
-// shader core. All three are observationally identical — results,
-// profiles, traces, faults — and selected per run via
-// GroupConfig.Engine; the 3-way differential and fuzz tests enforce
-// the equivalence.
+// default. Both are observationally identical — results, profiles,
+// traces, faults — and selected per run via GroupConfig.Engine; the
+// differential and fuzz tests enforce the equivalence.
 package vm
 
 import (
@@ -223,10 +219,10 @@ type GroupConfig struct {
 	Observer     AccessObserver // may be nil
 	StepLimit    uint64         // per work-item; 0 = default
 
-	// Engine selects the execution engine: the reference interpreter,
-	// the closure-compiled fast path, or the lock-step lane engine.
-	// The zero value EngineAuto resolves to the compiled engine; all
-	// three are observationally identical (see Engine).
+	// Engine selects the execution engine: the reference interpreter
+	// or the closure-compiled fast path. The zero value EngineAuto
+	// resolves to the compiled engine; both are observationally
+	// identical (see Engine).
 	Engine Engine
 }
 
@@ -290,9 +286,6 @@ func RunGroup(cfg *GroupConfig, prof *Profile) error {
 	prof.WorkGroups++
 	prof.WorkItems += uint64(nloc)
 
-	if cfg.Engine == EngineLanes {
-		return r.runGroupLanes(localBytes, nloc)
-	}
 	if cfg.Engine.UseCompiled() {
 		return r.runGroupCompiled(localBytes, nloc)
 	}

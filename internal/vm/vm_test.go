@@ -43,19 +43,6 @@ func (m *flatMem) StoreBits(space int, off int64, size int, bits uint64) error {
 	return nil
 }
 
-// RawWindow implements vm.RawMemory so the lane engine's bulk
-// unit-stride path is exercised by the engine tests and benchmarks.
-func (m *flatMem) RawWindow(space int, off int64, n int, write bool) ([]byte, bool) {
-	if write && space != ir.SpaceGlobal {
-		return nil, false
-	}
-	mem := m.space(space)
-	if off < 0 || n < 0 || off+int64(n) > int64(len(mem)) {
-		return nil, false
-	}
-	return mem[off : off+int64(n)], true
-}
-
 func (m *flatMem) AtomicRMW(space int, off int64, size int, fn func(uint64) uint64) (uint64, error) {
 	old, err := m.LoadBits(space, off, size)
 	if err != nil {

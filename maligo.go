@@ -80,12 +80,6 @@ func WithMeterSeed(seed uint64) Option {
 	return func(c *config) { c.opts.MeterSeed = seed }
 }
 
-// WithOutOfOrderQueues is the original spelling of WithAsyncQueues.
-//
-// Deprecated: use WithAsyncQueues, which names what the option
-// enables (scheduler-backed queues) rather than one feature of them.
-func WithOutOfOrderQueues(on bool) Option { return WithAsyncQueues(on) }
-
 // NewPlatform assembles a fresh simulated board with cold caches.
 func NewPlatform(opts ...Option) *Platform {
 	var c config

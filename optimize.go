@@ -53,11 +53,7 @@ func OptimizePassNames() []string {
 // text format — the stable before/after representation the transform
 // goldens and `clc -optimize -dis` print.
 func KernelIRDump(k *CompiledKernel) (string, error) {
-	be, err := backend.Get("irdump")
-	if err != nil {
-		return "", err
-	}
-	out, err := be.Emit(k)
+	out, err := backend.IRDump(k)
 	if err != nil {
 		return "", err
 	}

@@ -102,21 +102,3 @@ func TestClientErrorMapping(t *testing.T) {
 		t.Fatalf("unknown job: %v, want ErrUnknownJob", err)
 	}
 }
-
-// TestDeprecatedOptionsStillWork pins the compatibility contract of
-// the option unification: the old spellings must keep compiling and
-// producing working handles.
-func TestDeprecatedOptionsStillWork(t *testing.T) {
-	p := maligo.NewPlatform(maligo.WithOutOfOrderQueues(true), maligo.WithWorkers(1))
-	defer p.Close()
-	ctx := maligo.NewContext(
-		maligo.ContextDevices(p.Mali()),
-		maligo.ContextArenaBytes(1<<20),
-		maligo.ContextWorkers(1),
-		maligo.ContextAsyncQueues(true),
-	)
-	defer ctx.Close()
-	if _, err := ctx.CreateBuffer(maligo.MemReadWrite, 1024, nil); err != nil {
-		t.Fatalf("CreateBuffer on deprecated-option context: %v", err)
-	}
-}
