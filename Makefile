@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-sched short bench bench-admission bench-malid bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
+.PHONY: build vet test race race-sched race-device short bench bench-admission bench-malid bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
 
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 30s
@@ -29,6 +29,12 @@ race:
 race-sched:
 	$(GO) test -race -count=1 ./internal/sched
 
+# The work-group fan-in hands streamed traces between goroutines while
+# the group is still executing: run internal/device's full suite
+# repeatedly under the race detector on every verify.
+race-device:
+	$(GO) test -race -count=3 ./internal/device
+
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 200x -count 3 ./internal/vm \
@@ -36,10 +42,13 @@ bench:
 	@echo "wrote BENCH_vm_v2.json (VM engine baseline; diff against the committed copy)"
 
 # Cheap benchmark smoke for CI: one iteration of the VM engine
-# benchmarks under both engines, so a broken bench harness fails
-# verify rather than the next baseline refresh.
+# benchmarks under both engines and of the streamed-group benchmark
+# (one group whose trace streams into the CPU timing model, at 1 and 2
+# workers), so a broken bench harness fails verify rather than the
+# next baseline refresh.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 1x ./internal/vm >/dev/null
+	$(GO) test -run xxx -bench BenchmarkStreamedGroup -benchmem -benchtime 1x ./internal/cpu >/dev/null
 
 # Layer-level cost of a cold optimizing admission: compile, the
 # analyzer gate and the transform pipeline over one cycle of the
@@ -114,4 +123,4 @@ fuzz-smoke:
 # Full verification: what CI runs. The -short race pass includes the
 # engine differential cross-section; `make test` runs the full
 # matrix (interp oracle vs compiled) plus the IR dump snapshot tests.
-verify: build lint test race race-sched trace-smoke trace-golden serve-smoke bench-smoke fuzz-smoke
+verify: build lint test race race-sched race-device trace-smoke trace-golden serve-smoke bench-smoke fuzz-smoke

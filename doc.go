@@ -42,7 +42,9 @@
 // across a pool of host CPUs (default runtime.NumCPU()): each worker
 // runs groups against the shared unified-memory arena while recording
 // its memory accesses into a trace, and the traces are replayed in
-// dispatch order into the stateful cache/DRAM model. Simulated timing,
+// dispatch order into the stateful cache/DRAM model — a long group's
+// trace streams into the model while the group is still executing.
+// Simulated timing,
 // power and energy are therefore bit-identical at every worker count —
 // only the simulator's own wall-clock changes. WithWorkers(1) forces
 // the serial engine; Queue.FinishCtx and EnqueueNDRangeKernelCtx

@@ -1065,7 +1065,7 @@ func (t *memTarget) StoreBits(space int, off int64, size int, bits uint64) error
 	return t.arena.StoreBits(off, size, bits)
 }
 
-func (t *memTarget) AtomicRMW(space int, off int64, size int, fn func(uint64) uint64) (uint64, error) {
+func (t *memTarget) AtomicRMW(space int, off int64, size int, op vm.AtomicOp) (uint64, error) {
 	if t.mu != nil {
 		t.mu.Lock()
 		defer t.mu.Unlock()
@@ -1074,7 +1074,7 @@ func (t *memTarget) AtomicRMW(space int, off int64, size int, fn func(uint64) ui
 	if err != nil {
 		return 0, err
 	}
-	return old, t.StoreBits(space, off, size, fn(old))
+	return old, t.StoreBits(space, off, size, op.Apply(old))
 }
 
 // EnqueueNDRangeKernel launches the kernel. local may be nil to let

@@ -49,12 +49,12 @@ func (m *flatMem) StoreBits(space int, off int64, size int, bits uint64) error {
 	return nil
 }
 
-func (m *flatMem) AtomicRMW(space int, off int64, size int, fn func(uint64) uint64) (uint64, error) {
+func (m *flatMem) AtomicRMW(space int, off int64, size int, op vm.AtomicOp) (uint64, error) {
 	old, err := m.LoadBits(space, off, size)
 	if err != nil {
 		return 0, err
 	}
-	return old, m.StoreBits(space, off, size, fn(old))
+	return old, m.StoreBits(space, off, size, op.Apply(old))
 }
 
 // fillDeterministic writes an LCG byte stream whose bytes stay below

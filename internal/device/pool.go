@@ -3,6 +3,7 @@ package device
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -156,19 +157,29 @@ type GroupWork struct {
 	Index int
 	// Group is the 3-D work-group ID.
 	Group [3]int
-	// Profile holds the group's instruction counts.
+	// Profile holds the group's instruction counts. For a streamed
+	// group it is complete once Trace.Replay has returned.
 	Profile vm.Profile
 	// Trace is the group's memory-event stream in program order. The
-	// consumer should Release it after replaying.
+	// consumer must Replay it, then Release it. A group whose trace
+	// fills a chunk is handed over while it is still executing:
+	// Replay follows the recording until the group finishes, and a
+	// Release without Replay waits for it and discards the records.
 	Trace *vm.Trace
+
+	// err is the group's execution error, final once the trace is
+	// complete (for a streamed group: once it has been drained).
+	err error
 }
 
-// groupResult pairs a GroupWork with its execution error for the
-// ordered fan-in.
+// groupResult announces a group to the ordered fan-in: when it
+// finished, when it started streaming (streamed), or when it was
+// skipped (gw nil, err says why).
 type groupResult struct {
-	index int
-	gw    *GroupWork
-	err   error
+	index    int
+	gw       *GroupWork
+	streamed bool
+	err      error
 }
 
 // RunGroups executes every work-group of the NDRange on the pool,
@@ -178,12 +189,22 @@ type groupResult struct {
 // classifier) sees the exact access stream serial execution would have
 // produced — that is what keeps parallel reports bit-identical.
 //
+// A group whose trace fills its first chunk announces itself while it
+// is still executing. Once it heads the dispatch order, consume's
+// Replay feeds the timing model from its chunks as they fill, so the
+// model overlaps the group that produces the trace as well as the
+// groups after it. Groups that never fill a chunk, and detail-mode
+// groups, are handed over once they finish.
+//
 // Functional memory effects (stores, atomics) hit mem during the
 // concurrent phase in nondeterministic group order; this is sound for
 // data-parallel kernels, whose groups write disjoint ranges or combine
 // via commutative atomics. The first error, in dispatch order, is
 // returned — matching the serial engine's "stop at first failing
-// group" semantics.
+// group" semantics: every earlier group is consumed, and so is the
+// failing group's trace up to the fault, which serial execution would
+// already have fed to the cost model. The race observer does not see
+// the failing group.
 func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*GroupWork) error) error {
 	ctx, cancel := context.WithCancel(rc.Context())
 	defer cancel()
@@ -195,6 +216,12 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 	window := 2 * pool.Workers()
 	sem := make(chan struct{}, window)
 	results := make(chan groupResult, window)
+
+	// stop is the dispatch index of the first failure found so far.
+	// Groups after it are skipped; groups before it still run, since
+	// serial execution would have consumed them.
+	var stop atomic.Int64
+	stop.Store(math.MaxInt64)
 
 	// Dispatcher: enumerate groups in row-major order, submitting each
 	// to the pool. Reports how many it dispatched so the fan-in knows
@@ -211,31 +238,39 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 			idx := dispatched
 			g := group
 			pool.jobs <- func() {
-				res := groupResult{index: idx}
-				if err := ctx.Err(); err != nil {
-					res.err = err
-				} else {
-					tr := vm.NewTrace()
-					if rc.Race != nil {
-						tr.EnableDetail()
-					}
-					gw := &GroupWork{Index: idx, Group: g, Trace: tr}
-					cfg := &vm.GroupConfig{
-						Kernel:       ndr.Kernel,
-						WorkDim:      ndr.WorkDim,
-						GroupID:      g,
-						LocalSize:    ndr.Local,
-						GlobalSize:   ndr.Global,
-						GlobalOffset: ndr.Offset,
-						Args:         ndr.Args,
-						Mem:          gmem,
-						Observer:     tr,
-						Engine:       rc.Engine,
-					}
-					res.gw = gw
-					res.err = vm.RunGroup(cfg, &gw.Profile)
+				if err := rc.Context().Err(); err != nil {
+					results <- groupResult{index: idx, err: err}
+					return
 				}
-				results <- res
+				if int64(idx) > stop.Load() {
+					results <- groupResult{index: idx, err: context.Canceled}
+					return
+				}
+				tr := vm.NewTrace()
+				gw := &GroupWork{Index: idx, Group: g, Trace: tr}
+				if rc.Race != nil {
+					tr.EnableDetail()
+				} else {
+					tr.Stream(func() { results <- groupResult{index: idx, gw: gw, streamed: true} })
+				}
+				cfg := &vm.GroupConfig{
+					Kernel:       ndr.Kernel,
+					WorkDim:      ndr.WorkDim,
+					GroupID:      g,
+					LocalSize:    ndr.Local,
+					GlobalSize:   ndr.Global,
+					GlobalOffset: ndr.Offset,
+					Args:         ndr.Args,
+					Mem:          gmem,
+					Observer:     tr,
+					Engine:       rc.Engine,
+				}
+				gw.err = vm.RunGroup(cfg, &gw.Profile)
+				// A streamed group was handed over when it announced;
+				// Finish lets its Replay return.
+				if !tr.Finish() {
+					results <- groupResult{index: idx, gw: gw}
+				}
 			}
 			dispatched++
 			return nil
@@ -250,29 +285,24 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 	next, received := 0, 0
 	dispatchedTotal, haveTotal := 0, false
 	var firstErr error
-	errIndex := -1
+	errIndex := math.MaxInt
 
 	fail := func(idx int, err error) {
-		if firstErr == nil || idx < errIndex {
+		if idx < errIndex {
 			firstErr, errIndex = err, idx
+			stop.Store(int64(idx))
 		}
 		cancel()
 	}
 
-	for {
-		if haveTotal && received == dispatchedTotal {
-			break
-		}
+	for !haveTotal || received < dispatchedTotal {
 		select {
 		case n := <-dispatchedCh:
 			dispatchedTotal, haveTotal = n, true
 		case res := <-results:
 			received++
 			<-sem
-			if res.err != nil {
-				if res.gw != nil {
-					res.gw.Trace.Release()
-				}
+			if res.gw == nil {
 				// A Canceled error caused by our own internal cancel
 				// (after an earlier failure) is fallout, not a finding
 				// — it must not displace the real first error.
@@ -281,28 +311,37 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 				}
 				continue
 			}
-			if firstErr != nil {
+			if res.index > errIndex {
 				res.gw.Trace.Release()
 				continue
 			}
+			if !res.streamed && res.gw.err != nil {
+				fail(res.index, res.gw.err) // stop dispatch; consumed below in order
+			}
 			pending[res.index] = res
-			for {
+			for next <= errIndex {
 				r, ok := pending[next]
 				if !ok {
 					break
 				}
 				delete(pending, next)
-				if rc.Race != nil {
-					rc.Race.ObserveGroup(r.gw.Group, r.gw.Trace)
-				}
-				if err := consume(r.gw); err != nil {
-					fail(r.index, err)
-					break
-				}
 				next++
+				gw := r.gw
+				if rc.Race != nil && gw.err == nil {
+					rc.Race.ObserveGroup(gw.Group, gw.Trace)
+				}
+				cerr := consume(gw)
+				// gw.err is final now: consume drained a streamed trace.
+				if gw.err != nil {
+					fail(r.index, gw.err)
+				} else if cerr != nil {
+					fail(r.index, cerr)
+				}
 			}
 		}
 	}
+	// Releasing a streamed trace waits for its group to finish, so no
+	// worker is still executing once RunGroups returns.
 	for _, r := range pending { // maligo:allow maporder releasing distinct traces commutes
 		r.gw.Trace.Release()
 	}

@@ -35,12 +35,12 @@ func (m *poolMem) StoreBits(space int, off int64, size int, bits uint64) error {
 	return nil
 }
 
-func (m *poolMem) AtomicRMW(space int, off int64, size int, fn func(uint64) uint64) (uint64, error) {
+func (m *poolMem) AtomicRMW(space int, off int64, size int, op vm.AtomicOp) (uint64, error) {
 	old, err := m.LoadBits(space, off, size)
 	if err != nil {
 		return 0, err
 	}
-	return old, m.StoreBits(space, off, size, fn(old))
+	return old, m.StoreBits(space, off, size, op.Apply(old))
 }
 
 const idKernel = `
@@ -75,47 +75,108 @@ func idNDRange(t *testing.T, n, local int) *device.NDRange {
 	}
 }
 
+// loopKernel makes each work-item load its own slot n times, so with
+// 16 items per group and n = streamIters a group records two full
+// trace chunks and streams into its consumer while it executes.
+const loopKernel = `
+__kernel void loop(__global int* out, const uint n) {
+    size_t i = get_global_id(0);
+    int acc = 0;
+    for (uint j = 0; j < n; j++) {
+        acc += out[i];
+    }
+    out[i] = acc + (int)i;
+}
+`
+
+const streamIters = 1024
+
+func loopNDRange(t *testing.T, n, local int) *device.NDRange {
+	t.Helper()
+	k := compileKernel(t, loopKernel, "loop")
+	return &device.NDRange{
+		Kernel:  k,
+		WorkDim: 1,
+		Global:  [3]int{n, 1, 1},
+		Local:   [3]int{local, 1, 1},
+		Args: []vm.ArgValue{
+			{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)},
+			{Bits: streamIters},
+		},
+	}
+}
+
+// countObserver counts replayed events.
+type countObserver struct{ n int }
+
+func (c *countObserver) OnAccess(space int, addr int64, size int, write bool) { c.n++ }
+func (c *countObserver) OnAtomic(space int, addr int64, size int)             { c.n++ }
+
+// replay drains gw's trace the way a device consumer does and checks
+// every recorded event arrived (a detail trace also holds work-item
+// context records, which Replay skips). Only after it is gw.Profile
+// complete.
+func replay(t *testing.T, gw *device.GroupWork) int {
+	t.Helper()
+	var c countObserver
+	gw.Trace.Replay(&c)
+	if !gw.Trace.Detailed() && c.n != gw.Trace.Len() {
+		t.Errorf("group %d: replayed %d events, trace holds %d", gw.Index, c.n, gw.Trace.Len())
+	}
+	return c.n
+}
+
 // TestRunGroupsOrdering checks that consume sees every group exactly
 // once, in dispatch order, regardless of the concurrent execution
-// order, and that the functional result lands in memory.
+// order, and that the functional result lands in memory — both for
+// groups handed over when they finish and for streamed groups.
 func TestRunGroupsOrdering(t *testing.T) {
 	const n, local = 1024, 16
-	ndr := idNDRange(t, n, local)
-	mem := &poolMem{data: make([]byte, n*4)}
+	for _, tc := range []struct {
+		name      string
+		ndr       *device.NDRange
+		minEvents int // per group
+	}{
+		{"whole", idNDRange(t, n, local), 1},
+		{"streamed", loopNDRange(t, n, local), local * streamIters},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := &poolMem{data: make([]byte, n*4)}
+			pool := device.NewPool(4)
+			defer pool.Close()
 
-	pool := device.NewPool(4)
-	defer pool.Close()
-
-	var order []int
-	var workItems uint64
-	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
-		order = append(order, gw.Index)
-		workItems += gw.Profile.WorkItems
-		if gw.Trace.Len() == 0 {
-			t.Errorf("group %d: empty trace", gw.Index)
-		}
-		gw.Trace.Release()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("RunGroups: %v", err)
-	}
-	if len(order) != n/local {
-		t.Fatalf("consumed %d groups, want %d", len(order), n/local)
-	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("consume order[%d] = %d, want %d", i, idx, i)
-		}
-	}
-	if workItems != n {
-		t.Fatalf("profile work-items = %d, want %d", workItems, n)
-	}
-	for i := 0; i < n; i++ {
-		v, _ := mem.LoadBits(ir.SpaceGlobal, int64(i*4), 4)
-		if int(int32(v)) != i {
-			t.Fatalf("out[%d] = %d, want %d", i, int32(v), i)
-		}
+			var order []int
+			var workItems uint64
+			err := device.RunGroups(device.RunConfig{Pool: pool}, tc.ndr, mem, func(gw *device.GroupWork) error {
+				order = append(order, gw.Index)
+				if got := replay(t, gw); got < tc.minEvents {
+					t.Errorf("group %d: %d events, want at least %d", gw.Index, got, tc.minEvents)
+				}
+				workItems += gw.Profile.WorkItems
+				gw.Trace.Release()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("RunGroups: %v", err)
+			}
+			if len(order) != n/local {
+				t.Fatalf("consumed %d groups, want %d", len(order), n/local)
+			}
+			for i, idx := range order {
+				if idx != i {
+					t.Fatalf("consume order[%d] = %d, want %d", i, idx, i)
+				}
+			}
+			if workItems != n {
+				t.Fatalf("profile work-items = %d, want %d", workItems, n)
+			}
+			for i := 0; i < n; i++ {
+				v, _ := mem.LoadBits(ir.SpaceGlobal, int64(i*4), 4)
+				if int(int32(v)) != i {
+					t.Fatalf("out[%d] = %d, want %d", i, int32(v), i)
+				}
+			}
+		})
 	}
 }
 
@@ -131,6 +192,7 @@ func TestRunGroupsConsumeError(t *testing.T) {
 	calls := 0
 	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
 		calls++
+		replay(t, gw)
 		gw.Trace.Release()
 		if gw.Index == 3 {
 			return boom
@@ -156,6 +218,7 @@ func TestRunGroupsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := device.RunGroups(device.RunConfig{Ctx: ctx, Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+		replay(t, gw)
 		gw.Trace.Release()
 		return nil
 	})
@@ -225,56 +288,86 @@ func waitGoroutines(t *testing.T, base int) {
 // TestRunGroupsSlowObserverCancelNoLeak cancels a run whose ordered
 // fan-in is stalled behind a slow observer and checks the whole
 // machinery — dispatcher, window semaphore, reorder buffer, pool
-// workers — unwinds without leaking goroutines.
+// workers — unwinds without leaking goroutines. The race observer
+// forces whole-group hand-off; the streamed leg stalls consume itself
+// while later groups keep queueing chunks.
 func TestRunGroupsSlowObserverCancelNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ndr := idNDRange(t, 4096, 16)
-	mem := &poolMem{data: make([]byte, 4096*4)}
-	pool := device.NewPool(4)
+	const n, local = 4096, 16
+	for _, tc := range []struct {
+		name     string
+		ndr      *device.NDRange
+		race     device.RaceObserver
+		slowStep time.Duration // consume's own stall
+	}{
+		{"whole", idNDRange(t, n, local), slowObserver{delay: time.Millisecond}, 0},
+		{"streamed", loopNDRange(t, n, local), nil, time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			mem := &poolMem{data: make([]byte, n*4)}
+			pool := device.NewPool(4)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	consumed := 0
-	err := device.RunGroups(device.RunConfig{
-		Ctx:  ctx,
-		Pool: pool,
-		Race: slowObserver{delay: time.Millisecond},
-	}, ndr, mem, func(gw *device.GroupWork) error {
-		consumed++
-		gw.Trace.Release()
-		if consumed == 2 {
-			cancel() // cancel mid-run, with groups still in flight
-		}
-		return nil
-	})
-	cancel()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+			ctx, cancel := context.WithCancel(context.Background())
+			consumed := 0
+			err := device.RunGroups(device.RunConfig{
+				Ctx:  ctx,
+				Pool: pool,
+				Race: tc.race,
+			}, tc.ndr, mem, func(gw *device.GroupWork) error {
+				consumed++
+				time.Sleep(tc.slowStep)
+				replay(t, gw)
+				gw.Trace.Release()
+				if consumed == 2 {
+					cancel() // cancel mid-run, with groups still in flight
+				}
+				return nil
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if consumed >= n/local {
+				t.Fatal("cancellation did not stop the run early")
+			}
+			pool.Close()
+			waitGoroutines(t, base)
+		})
 	}
-	if consumed >= 4096/16 {
-		t.Fatal("cancellation did not stop the run early")
-	}
-	pool.Close()
-	waitGoroutines(t, base)
 }
 
 // TestRunGroupsConsumeErrorNoLeak checks the error-abort path also
-// unwinds cleanly when in-flight groups are still being dispatched.
+// unwinds cleanly when in-flight groups are still being dispatched —
+// including streamed groups the consumer never replays, whose
+// workers must still run to completion.
 func TestRunGroupsConsumeErrorNoLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ndr := idNDRange(t, 4096, 16)
-	mem := &poolMem{data: make([]byte, 4096*4)}
-	pool := device.NewPool(4)
+	const n, local = 4096, 16
+	for _, tc := range []struct {
+		name string
+		ndr  *device.NDRange
+	}{
+		{"whole", idNDRange(t, n, local)},
+		{"streamed", loopNDRange(t, n, local)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			mem := &poolMem{data: make([]byte, n*4)}
+			pool := device.NewPool(4)
 
-	boom := errors.New("boom")
-	err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
-		gw.Trace.Release()
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+			boom := errors.New("boom")
+			err := device.RunGroups(device.RunConfig{Pool: pool}, tc.ndr, mem, func(gw *device.GroupWork) error {
+				gw.Trace.Release()
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want boom", err)
+			}
+			// Close waits for every worker: one still blocked on a
+			// stream would hang here.
+			pool.Close()
+			waitGoroutines(t, base)
+		})
 	}
-	pool.Close()
-	waitGoroutines(t, base)
 }
 
 // TestPoolRunNested checks Pool.Run — the scheduler's command-body
@@ -291,21 +384,25 @@ func TestPoolRunNested(t *testing.T) {
 		t.Fatal("Run did not execute the function")
 	}
 
-	ndr := idNDRange(t, 256, 16)
-	mem := &poolMem{data: make([]byte, 256*4)}
-	var groups int
-	pool.Run(func() {
-		err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
-			groups++
-			gw.Trace.Release()
-			return nil
+	// The streamed NDRange has the fan-in block in Replay on the one
+	// worker the body leaves free.
+	for _, ndr := range []*device.NDRange{idNDRange(t, 256, 16), loopNDRange(t, 256, 16)} {
+		mem := &poolMem{data: make([]byte, 256*4)}
+		var groups int
+		pool.Run(func() {
+			err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+				groups++
+				replay(t, gw)
+				gw.Trace.Release()
+				return nil
+			})
+			if err != nil {
+				t.Errorf("nested RunGroups: %v", err)
+			}
 		})
-		if err != nil {
-			t.Errorf("nested RunGroups: %v", err)
+		if groups != 256/16 {
+			t.Fatalf("nested run consumed %d groups, want %d", groups, 256/16)
 		}
-	})
-	if groups != 256/16 {
-		t.Fatalf("nested run consumed %d groups, want %d", groups, 256/16)
 	}
 }
 

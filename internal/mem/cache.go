@@ -46,9 +46,11 @@ const (
 //
 // The line/set arithmetic sits on the simulator's per-access hot path,
 // so the geometry divisions are strength-reduced to shifts and masks
-// when line size and set count are powers of two (they always are for
-// the modelled hardware; NewCache requires it) — lines is one flat
-// ways-major array to spare a level of slice indirection.
+// when line size and set count are both powers of two. Set counts
+// need not be: the modelled board's L2s are not (the Mali-T604 L2,
+// 48 KiB 8-way with 64 B lines, has 96 sets; the Cortex-A15 L2 has
+// 384), so they take the division path. lines is one flat ways-major
+// array to spare a level of slice indirection.
 type Cache struct {
 	cfg       CacheConfig
 	lines     []line
@@ -62,7 +64,8 @@ type Cache struct {
 	stats     CacheStats
 }
 
-// NewCache builds a cache from cfg. Sizes must be powers of two.
+// NewCache builds a cache from cfg. Any set count works; see Cache for
+// which geometries take the shift path.
 func NewCache(cfg CacheConfig) *Cache {
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	if nsets < 1 {

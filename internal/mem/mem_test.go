@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -232,5 +233,109 @@ func TestArenaRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCache is a naive LRU reference model: each set is a list of lines
+// ordered most recently used first.
+type refCache struct {
+	lineBytes, nsets, ways uint64
+	sets                   [][]refLine
+	stats                  CacheStats
+}
+
+type refLine struct {
+	line  uint64
+	dirty bool
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	nsets := uint64(cfg.SizeBytes / (cfg.LineBytes * cfg.Ways))
+	return &refCache{
+		lineBytes: uint64(cfg.LineBytes),
+		nsets:     nsets,
+		ways:      uint64(cfg.Ways),
+		sets:      make([][]refLine, nsets),
+	}
+}
+
+func (c *refCache) access(addr uint64, size int, write bool) (misses, writebacks int) {
+	for ln := addr / c.lineBytes; ln <= (addr+uint64(size)-1)/c.lineBytes; ln++ {
+		c.stats.Accesses++
+		set := c.sets[ln%c.nsets]
+		pos := -1
+		for i, l := range set {
+			if l.line == ln {
+				pos = i
+				break
+			}
+		}
+		var cur refLine
+		if pos >= 0 {
+			c.stats.Hits++
+			cur = set[pos]
+			set = append(set[:pos], set[pos+1:]...)
+		} else {
+			c.stats.Misses++
+			misses++
+			cur = refLine{line: ln}
+			if uint64(len(set)) == c.ways {
+				if set[len(set)-1].dirty {
+					c.stats.Writebacks++
+					writebacks++
+				}
+				set = set[:len(set)-1]
+			}
+		}
+		cur.dirty = cur.dirty || write
+		c.sets[ln%c.nsets] = append([]refLine{cur}, set...)
+	}
+	return misses, writebacks
+}
+
+// TestCacheMatchesReferenceLRU pins the modelled board's real L2
+// geometries — 96 sets (Mali-T604) and 384 sets (Cortex-A15), neither
+// a power of two — plus a power-of-two one against the naive LRU
+// model over a seeded random stream: every access's misses and
+// writebacks, and the final statistics, must match exactly.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   CacheConfig
+		nsets int
+	}{
+		{"mali-t604-l2", CacheConfig{SizeBytes: 48 << 10, LineBytes: 64, Ways: 8}, 96},
+		{"cortex-a15-l2", CacheConfig{SizeBytes: 192 << 10, LineBytes: 64, Ways: 8}, 384},
+		{"cortex-a15-l1", CacheConfig{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2}, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCache(tc.cfg)
+			if c.nsets != uint64(tc.nsets) {
+				t.Fatalf("sets = %d, want %d", c.nsets, tc.nsets)
+			}
+			if c.pow2 != (tc.nsets&(tc.nsets-1) == 0) {
+				t.Fatalf("pow2 = %v for %d sets", c.pow2, tc.nsets)
+			}
+			ref := newRefCache(tc.cfg)
+			rnd := rand.New(rand.NewSource(7))
+			// Addresses span twice the capacity so the stream mixes
+			// hits, conflict misses and dirty evictions; sizes up to
+			// 64 bytes straddle line boundaries.
+			span := int64(2 * tc.cfg.SizeBytes)
+			for i := 0; i < 200000; i++ {
+				addr := uint64(rnd.Int63n(span))
+				size := 1 + rnd.Intn(64)
+				write := rnd.Intn(3) == 0
+				m, wb := c.Access(addr, size, write)
+				rm, rwb := ref.access(addr, size, write)
+				if m != rm || wb != rwb {
+					t.Fatalf("access %d (addr %d size %d write %v): misses/writebacks %d/%d, reference %d/%d",
+						i, addr, size, write, m, wb, rm, rwb)
+				}
+			}
+			if got := c.Stats(); got != ref.stats {
+				t.Fatalf("stats %+v, reference %+v", got, ref.stats)
+			}
+		})
 	}
 }

@@ -582,13 +582,10 @@ func intToBits(base types.Base, v int64) uint64 {
 // --- atomics -----------------------------------------------------------------
 
 func (r *groupRunner) execAtomic(in *ir.Instr, st *wiState) error {
-	id := builtin.ID(in.Imm)
 	addr := st.ii[in.B]
 	space, off := ir.DecodeAddr(addr)
 	size := in.Base.Size()
-	operand := st.ii[in.C]
-	cmp := st.ii[in.D]
-	signed := in.Base.IsSigned()
+	op := AtomicOp{id: builtin.ID(in.Imm), base: in.Base, operand: st.ii[in.C], cmp: st.ii[in.D]}
 
 	r.prof.Atomics++
 	r.prof.LoadInstrs++
@@ -605,69 +602,82 @@ func (r *groupRunner) execAtomic(in *ir.Instr, st *wiState) error {
 		r.cfg.Observer.OnAtomic(space, addr, size)
 	}
 
-	fn := func(oldBits uint64) uint64 {
-		old := bitsToInt(in.Base, oldBits)
-		var v int64
-		switch id {
-		case builtin.AtomicAdd:
-			v = old + operand
-		case builtin.AtomicSub:
-			v = old - operand
-		case builtin.AtomicInc:
-			v = old + 1
-		case builtin.AtomicDec:
-			v = old - 1
-		case builtin.AtomicXchg:
-			v = operand
-		case builtin.AtomicMin:
-			if (signed && operand < old) || (!signed && uint64(operand) < uint64(old)) {
-				v = operand
-			} else {
-				v = old
-			}
-		case builtin.AtomicMax:
-			if (signed && operand > old) || (!signed && uint64(operand) > uint64(old)) {
-				v = operand
-			} else {
-				v = old
-			}
-		case builtin.AtomicAnd:
-			v = old & operand
-		case builtin.AtomicOr:
-			v = old | operand
-		case builtin.AtomicXor:
-			v = old ^ operand
-		case builtin.AtomicCmpXchg:
-			if old == operand {
-				v = cmp
-			} else {
-				v = old
-			}
-		default:
-			v = old
-		}
-		return intToBits(in.Base, v)
-	}
-
 	var oldBits uint64
 	var err error
 	switch space {
 	case ir.SpaceLocal:
 		oldBits, err = sliceLoad(r.local, off, size)
 		if err == nil {
-			err = sliceStore(r.local, off, size, fn(oldBits))
+			err = sliceStore(r.local, off, size, op.Apply(oldBits))
 		}
 	case ir.SpacePrivate:
 		oldBits, err = sliceLoad(r.cur.priv, off, size)
 		if err == nil {
-			err = sliceStore(r.cur.priv, off, size, fn(oldBits))
+			err = sliceStore(r.cur.priv, off, size, op.Apply(oldBits))
 		}
 	default:
-		oldBits, err = r.cfg.Mem.AtomicRMW(space, off, size, fn)
+		oldBits, err = r.cfg.Mem.AtomicRMW(space, off, size, op)
 	}
 	if err != nil {
 		return err
 	}
 	st.ii[in.A] = bitsToInt(in.Base, oldBits)
 	return nil
+}
+
+// AtomicOp is one atomic read-modify-write, as the VM hands it to
+// GlobalMemory.AtomicRMW. It is a plain value, so passing it through
+// the interface allocates nothing.
+type AtomicOp struct {
+	id      builtin.ID
+	base    types.Base
+	operand int64
+	cmp     int64
+}
+
+// Apply returns the new bits of the word given its old bits.
+func (op AtomicOp) Apply(oldBits uint64) uint64 {
+	old := bitsToInt(op.base, oldBits)
+	operand := op.operand
+	signed := op.base.IsSigned()
+	var v int64
+	switch op.id {
+	case builtin.AtomicAdd:
+		v = old + operand
+	case builtin.AtomicSub:
+		v = old - operand
+	case builtin.AtomicInc:
+		v = old + 1
+	case builtin.AtomicDec:
+		v = old - 1
+	case builtin.AtomicXchg:
+		v = operand
+	case builtin.AtomicMin:
+		if (signed && operand < old) || (!signed && uint64(operand) < uint64(old)) {
+			v = operand
+		} else {
+			v = old
+		}
+	case builtin.AtomicMax:
+		if (signed && operand > old) || (!signed && uint64(operand) > uint64(old)) {
+			v = operand
+		} else {
+			v = old
+		}
+	case builtin.AtomicAnd:
+		v = old & operand
+	case builtin.AtomicOr:
+		v = old | operand
+	case builtin.AtomicXor:
+		v = old ^ operand
+	case builtin.AtomicCmpXchg:
+		if old == operand {
+			v = op.cmp
+		} else {
+			v = old
+		}
+	default:
+		v = old
+	}
+	return intToBits(op.base, v)
 }

@@ -49,8 +49,8 @@ func (p *LineProfiler) ObserveGroup(group [3]int, tr *Trace) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range tr.recs {
-		rec := &tr.recs[i]
+	for i, n := 0, tr.Len(); i < n; i++ {
+		rec := tr.at(i)
 		if rec.kind == recCtx {
 			continue
 		}

@@ -134,8 +134,9 @@ func (d *RaceDetector) ObserveGroup(group [3]int, tr *Trace) {
 
 	shadow := make(map[int64]*byteShadow)
 	item, phase := -1, 0
-	for i := 0; i < len(tr.recs); i++ {
-		rec := &tr.recs[i]
+	n := tr.Len()
+	for i := 0; i < n; i++ {
+		rec := tr.at(i)
 		switch rec.kind {
 		case recCtx:
 			newItem := int(rec.addr >> 32)
@@ -158,7 +159,11 @@ func (d *RaceDetector) ObserveGroup(group [3]int, tr *Trace) {
 		if rec.space != uint8(ir.SpaceGlobal) && rec.space != uint8(ir.SpaceLocal) {
 			continue
 		}
-		atomic := i+1 < len(tr.recs) && tr.recs[i+1].kind == recAtomic && tr.recs[i+1].addr == rec.addr
+		atomic := false
+		if i+1 < n {
+			next := tr.at(i + 1)
+			atomic = next.kind == recAtomic && next.addr == rec.addr
+		}
 		cur := shadowAccess{item: item, line: rec.line, atomic: atomic}
 		write := rec.kind == recWrite
 		for b := int64(0); b < int64(rec.size); b++ {

@@ -22,6 +22,50 @@ const (
 	recCtx
 )
 
+// chunkRecs is the number of records in one trace chunk: 8192 16-byte
+// records, 128 KiB.
+const chunkRecs = 8192
+
+// chunk is the unit a trace records into and hands to a concurrent
+// Replay.
+type chunk [chunkRecs]traceRec
+
+// maxFreeChunks bounds the chunk free list (32 MiB). The paper sweep
+// at scale 0.25 peaks at about 220 chunks in flight — a streamed
+// group that is not yet at the head of the dispatch order queues all
+// its chunks — so the list covers it and steady state allocates no
+// chunks, while one outsized enqueue cannot pin its peak for the life
+// of a process.
+const maxFreeChunks = 256
+
+// chunkFree recycles chunks between traces. Chunks are taken on the
+// recording goroutine and returned on the replaying one, so the list
+// is shared rather than per-trace.
+var chunkFree struct {
+	sync.Mutex
+	list []*chunk
+}
+
+func getChunk() *chunk {
+	chunkFree.Lock()
+	if n := len(chunkFree.list); n > 0 {
+		c := chunkFree.list[n-1]
+		chunkFree.list = chunkFree.list[:n-1]
+		chunkFree.Unlock()
+		return c
+	}
+	chunkFree.Unlock()
+	return new(chunk)
+}
+
+func putChunk(c *chunk) {
+	chunkFree.Lock()
+	if len(chunkFree.list) < maxFreeChunks {
+		chunkFree.list = append(chunkFree.list, c)
+	}
+	chunkFree.Unlock()
+}
+
 // Trace records the exact sequence of memory events (loads, stores and
 // atomics) a work-group emits, in program order. It implements
 // AccessObserver, so a worker can execute a group against a Trace
@@ -32,36 +76,73 @@ const (
 // reproduces the serial access stream exactly, which is what keeps the
 // parallel engine's timing reports bit-identical to serial execution.
 //
+// Records go into fixed-size chunks. A trace armed with Stream hands
+// its chunks to Replay while the group is still recording, so the
+// timing model can run alongside the VM instead of after it.
+//
 // In detail mode (EnableDetail) the trace additionally records which
 // work-item and barrier phase produced each access and the source line
 // of the access, which is what the dynamic race detector consumes.
+// Detail traces never stream: race observers scan a complete group.
 type Trace struct {
-	recs     []traceRec
+	cur   *chunk   // chunk being filled
+	n     int      // records in cur
+	full  []*chunk // filled chunks not yet handed to a streaming Replay
+	nfull int      // chunks filled since NewTrace
+
 	detail   bool
 	line     uint16
 	curItem  int
 	curPhase int
+
+	// Streaming hand-off. announce and streaming belong to the
+	// recording goroutine until the announcement publishes the trace;
+	// after it, full and finished are guarded by mu, and ready wakes
+	// a Replay waiting for more chunks.
+	announce  func()
+	streaming bool
+	mu        sync.Mutex
+	finished  bool
+	ready     chan struct{}
+	batch     []*chunk // Replay's side of the full-chunk swap
 }
 
-// tracePool recycles record slices between work-groups; the parallel
+// tracePool recycles trace headers between work-groups; the parallel
 // engine churns through one Trace per group.
-var tracePool = sync.Pool{New: func() any { return new(Trace) }}
+var tracePool = sync.Pool{New: func() any { return &Trace{ready: make(chan struct{}, 1)} }}
 
 // NewTrace returns an empty trace (possibly recycled).
 func NewTrace() *Trace {
 	t := tracePool.Get().(*Trace)
-	t.recs = t.recs[:0]
+	t.cur, t.n, t.nfull = getChunk(), 0, 0
 	t.detail = false
 	t.line = 0
+	t.announce, t.streaming, t.finished = nil, false, false
+	select {
+	case <-t.ready: // a wake-up left over from the previous use
+	default:
+	}
 	return t
 }
 
-// Release returns the trace to the recycle pool. The caller must not
-// use the trace afterwards.
+// Release returns the trace and its chunks to the recycle pools. On a
+// streaming trace it first waits for the recording goroutine to
+// Finish. The caller must not use the trace afterwards.
 func (t *Trace) Release() {
-	if t != nil {
-		tracePool.Put(t)
+	if t == nil {
+		return
 	}
+	if t.streaming {
+		t.drain(nil)
+	}
+	for i, c := range t.full {
+		putChunk(c)
+		t.full[i] = nil
+	}
+	t.full = t.full[:0]
+	putChunk(t.cur)
+	t.cur = nil
+	tracePool.Put(t)
 }
 
 // EnableDetail switches the trace into detail mode: work-item/phase
@@ -76,6 +157,71 @@ func (t *Trace) EnableDetail() {
 // Detailed reports whether the trace carries work-item context.
 func (t *Trace) Detailed() bool { return t.detail }
 
+// Stream arms the streaming hand-off. When the first chunk fills,
+// announce is called once on the recording goroutine; it must publish
+// the trace to the goroutine that will Replay it. From then on full
+// chunks queue for that Replay without blocking the recorder, and the
+// recorder must call Finish when it is done. A trace that never fills
+// a chunk, or is in detail mode, never announces and replays as a
+// whole as usual. Must be called before recording.
+func (t *Trace) Stream(announce func()) { t.announce = announce }
+
+// Finish ends recording and reports whether the trace streamed. On a
+// streaming trace it lets a concurrent Replay deliver the last records
+// and return; the consumer may then release the trace, so the recorder
+// must not touch it again. On any other trace it does nothing.
+func (t *Trace) Finish() (streamed bool) {
+	if !t.streaming {
+		return false
+	}
+	t.mu.Lock()
+	t.finished = true
+	t.mu.Unlock()
+	t.wake()
+	return true
+}
+
+// wake signals a Replay that may be waiting for chunks. The channel
+// holds one token, so a signal is never lost and never blocks.
+func (t *Trace) wake() {
+	select {
+	case t.ready <- struct{}{}:
+	default:
+	}
+}
+
+// add appends one record, spilling the current chunk when it is full.
+func (t *Trace) add(r traceRec) {
+	if t.n == chunkRecs {
+		t.spill()
+	}
+	t.cur[t.n] = r
+	t.n++
+}
+
+// spill retires the full current chunk: queued for a streaming
+// Replay, or kept for a whole-trace one. The first spill of an armed,
+// non-detail trace starts streaming.
+func (t *Trace) spill() {
+	full := t.cur
+	t.cur, t.n = getChunk(), 0
+	t.nfull++
+	if t.streaming {
+		t.mu.Lock()
+		t.full = append(t.full, full)
+		t.mu.Unlock()
+		t.wake()
+		return
+	}
+	t.full = append(t.full, full)
+	if t.announce != nil && !t.detail {
+		announce := t.announce
+		t.announce = nil
+		t.streaming = true
+		announce()
+	}
+}
+
 // ContextActive implements ContextObserver: the VM only pays for
 // per-access context callbacks when detail mode is on.
 func (t *Trace) ContextActive() bool { return t.detail }
@@ -89,7 +235,7 @@ func (t *Trace) OnContext(item, phase, line int) {
 	t.line = uint16(line)
 	if item != t.curItem || phase != t.curPhase {
 		t.curItem, t.curPhase = item, phase
-		t.recs = append(t.recs, traceRec{
+		t.add(traceRec{
 			addr: int64(item)<<32 | int64(uint32(phase)),
 			kind: recCtx,
 		})
@@ -102,23 +248,76 @@ func (t *Trace) OnAccess(space int, addr int64, size int, write bool) {
 	if write {
 		kind = recWrite
 	}
-	t.recs = append(t.recs, traceRec{addr: addr, size: uint16(size), line: t.line, space: uint8(space), kind: kind})
+	t.add(traceRec{addr: addr, size: uint16(size), line: t.line, space: uint8(space), kind: kind})
 }
 
 // OnAtomic implements AccessObserver.
 func (t *Trace) OnAtomic(space int, addr int64, size int) {
-	t.recs = append(t.recs, traceRec{addr: addr, size: uint16(size), line: t.line, space: uint8(space), kind: recAtomic})
+	t.add(traceRec{addr: addr, size: uint16(size), line: t.line, space: uint8(space), kind: recAtomic})
 }
 
-// Len returns the number of recorded events.
-func (t *Trace) Len() int { return len(t.recs) }
+// Len returns the number of recorded events. On a streaming trace it
+// is final once Replay has returned.
+func (t *Trace) Len() int { return t.nfull*chunkRecs + t.n }
+
+// at returns record i of a trace that is not streaming.
+func (t *Trace) at(i int) *traceRec {
+	if c := i / chunkRecs; c < len(t.full) {
+		return &t.full[c][i%chunkRecs]
+	}
+	return &t.cur[i-len(t.full)*chunkRecs]
+}
 
 // Replay feeds the recorded events into o in recording order. Context
 // records from detail mode are skipped, so replaying into a cache
 // model is unaffected by race checking.
+//
+// On a streaming trace Replay runs concurrently with the recording:
+// it delivers chunks as they fill, recycles them, and returns once the
+// recorder has called Finish and the last record is delivered. A
+// streaming trace replays once.
 func (t *Trace) Replay(o AccessObserver) {
-	for i := range t.recs {
-		r := &t.recs[i]
+	if t.streaming {
+		t.drain(o)
+		return
+	}
+	for _, c := range t.full {
+		replayRecs(o, c[:])
+	}
+	replayRecs(o, t.cur[:t.n])
+}
+
+// drain is Replay for a streaming trace; a nil o discards the records.
+func (t *Trace) drain(o AccessObserver) {
+	batch := t.batch
+	for {
+		t.mu.Lock()
+		batch, t.full = t.full, batch[:0]
+		done := t.finished
+		t.mu.Unlock()
+		for i, c := range batch {
+			if o != nil {
+				replayRecs(o, c[:])
+			}
+			putChunk(c)
+			batch[i] = nil
+		}
+		if done {
+			break
+		}
+		if len(batch) == 0 {
+			<-t.ready
+		}
+	}
+	t.batch = batch[:0]
+	if o != nil {
+		replayRecs(o, t.cur[:t.n])
+	}
+}
+
+func replayRecs(o AccessObserver, recs []traceRec) {
+	for i := range recs {
+		r := &recs[i]
 		switch r.kind {
 		case recCtx:
 			// not a memory event

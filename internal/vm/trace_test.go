@@ -155,3 +155,104 @@ func FuzzProfileAddCommutes(f *testing.F) {
 		}
 	})
 }
+
+// recordRandom records n random events into tr and returns them.
+func recordRandom(tr *vm.Trace, n int, seed int64) []traceEvent {
+	rnd := rand.New(rand.NewSource(seed))
+	want := make([]traceEvent, 0, n)
+	for i := 0; i < n; i++ {
+		ev := traceEvent{space: rnd.Intn(4), addr: rnd.Int63n(1 << 40), size: 1 << rnd.Intn(5)}
+		if rnd.Intn(4) == 0 {
+			ev.atomic = true
+			tr.OnAtomic(ev.space, ev.addr, ev.size)
+		} else {
+			ev.write = rnd.Intn(2) == 0
+			tr.OnAccess(ev.space, ev.addr, ev.size, ev.write)
+		}
+		want = append(want, ev)
+	}
+	return want
+}
+
+// TestTraceStreamingReplay records several chunks' worth of events on
+// one goroutine while another replays them as the trace announces
+// itself, and checks the replay is complete and in program order.
+func TestTraceStreamingReplay(t *testing.T) {
+	const n = 5*8192 + 17
+	tr := vm.NewTrace()
+	published := make(chan *vm.Trace, 1)
+	tr.Stream(func() { published <- tr })
+
+	wantCh := make(chan []traceEvent, 1)
+	go func() {
+		want := recordRandom(tr, n, 3)
+		if !tr.Finish() {
+			t.Error("trace did not stream after filling a chunk")
+		}
+		wantCh <- want
+	}()
+
+	got := &recObserver{}
+	(<-published).Replay(got)
+	want := <-wantCh
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+	if !reflect.DeepEqual(got.events, want) {
+		t.Fatalf("streamed replay differs from the recording (%d vs %d events)", len(got.events), len(want))
+	}
+	tr.Release()
+}
+
+// TestTraceStreamingRelease checks Release on a streamed trace nobody
+// replays waits for the recorder to finish instead of recycling chunks
+// still being written.
+func TestTraceStreamingRelease(t *testing.T) {
+	tr := vm.NewTrace()
+	published := make(chan *vm.Trace, 1)
+	tr.Stream(func() { published <- tr })
+	done := make(chan struct{})
+	go func() {
+		recordRandom(tr, 3*8192, 4)
+		tr.Finish()
+		close(done)
+	}()
+	(<-published).Release()
+	select {
+	case <-done:
+	default:
+		t.Fatal("Release returned before the recorder finished")
+	}
+}
+
+// TestTraceWholeHandOff checks the two cases that never announce: a
+// group that stays within one chunk, and a detail-mode trace, which
+// race observers scan as a whole.
+func TestTraceWholeHandOff(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		detail bool
+	}{
+		{"one-chunk", 8192, false},
+		{"detail", 3 * 8192, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := vm.NewTrace()
+			defer tr.Release()
+			if tc.detail {
+				tr.EnableDetail()
+			}
+			tr.Stream(func() { t.Error("trace announced") })
+			want := recordRandom(tr, tc.n, 5)
+			if tr.Finish() {
+				t.Fatal("trace streams")
+			}
+			got := &recObserver{}
+			tr.Replay(got)
+			if !reflect.DeepEqual(got.events, want) {
+				t.Fatalf("replay differs from the recording (%d vs %d events)", len(got.events), len(want))
+			}
+		})
+	}
+}

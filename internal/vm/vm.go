@@ -36,9 +36,9 @@ var ErrBarrierDivergence = errors.New("vm: barrier divergence inside work-group"
 type GlobalMemory interface {
 	LoadBits(space int, off int64, size int) (uint64, error)
 	StoreBits(space int, off int64, size int, bits uint64) error
-	// AtomicRMW applies fn to the size-byte word at off atomically and
-	// returns the previous value.
-	AtomicRMW(space int, off int64, size int, fn func(uint64) uint64) (uint64, error)
+	// AtomicRMW applies op to the size-byte word at off atomically
+	// (new bits = op.Apply(old bits)) and returns the previous value.
+	AtomicRMW(space int, off int64, size int, op AtomicOp) (uint64, error)
 }
 
 // AccessObserver receives one callback per executed memory

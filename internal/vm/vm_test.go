@@ -43,12 +43,12 @@ func (m *flatMem) StoreBits(space int, off int64, size int, bits uint64) error {
 	return nil
 }
 
-func (m *flatMem) AtomicRMW(space int, off int64, size int, fn func(uint64) uint64) (uint64, error) {
+func (m *flatMem) AtomicRMW(space int, off int64, size int, op vm.AtomicOp) (uint64, error) {
 	old, err := m.LoadBits(space, off, size)
 	if err != nil {
 		return 0, err
 	}
-	return old, m.StoreBits(space, off, size, fn(old))
+	return old, m.StoreBits(space, off, size, op.Apply(old))
 }
 
 func (m *flatMem) putF32(off int, v float32) {
