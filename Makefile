@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-sched race-device short bench bench-admission bench-malid bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
+.PHONY: build vet test race race-sched race-device race-cl short bench bench-admission bench-malid bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
 
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 30s
@@ -35,6 +35,12 @@ race-sched:
 race-device:
 	$(GO) test -race -count=3 ./internal/device
 
+# A launch-memo hit replays retained trace chunks while other contexts
+# record and evict against the shared budget: run the memo tests
+# repeatedly under the race detector on every verify.
+race-cl:
+	$(GO) test -race -count=3 -run Memo ./internal/cl
+
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 200x -count 3 ./internal/vm \
@@ -42,13 +48,15 @@ bench:
 	@echo "wrote BENCH_vm_v2.json (VM engine baseline; diff against the committed copy)"
 
 # Cheap benchmark smoke for CI: one iteration of the VM engine
-# benchmarks under both engines and of the streamed-group benchmark
-# (one group whose trace streams into the CPU timing model, at 1 and 2
-# workers), so a broken bench harness fails verify rather than the
-# next baseline refresh.
+# benchmarks under both engines, of the streamed-group benchmark (one
+# group whose trace streams into the CPU timing model, at 1 and 2
+# workers) and of the launch-memo benchmark (one GPU launch executed
+# and recorded against replayed), so a broken bench harness fails
+# verify rather than the next baseline refresh.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 1x ./internal/vm >/dev/null
 	$(GO) test -run xxx -bench BenchmarkStreamedGroup -benchmem -benchtime 1x ./internal/cpu >/dev/null
+	$(GO) test -run xxx -bench BenchmarkLaunchMemo -benchmem -benchtime 1x ./internal/cl >/dev/null
 
 # Layer-level cost of a cold optimizing admission: compile, the
 # analyzer gate and the transform pipeline over one cycle of the
@@ -123,4 +131,4 @@ fuzz-smoke:
 # Full verification: what CI runs. The -short race pass includes the
 # engine differential cross-section; `make test` runs the full
 # matrix (interp oracle vs compiled) plus the IR dump snapshot tests.
-verify: build lint test race race-sched race-device trace-smoke trace-golden serve-smoke bench-smoke fuzz-smoke
+verify: build lint test race race-sched race-device race-cl trace-smoke trace-golden serve-smoke bench-smoke fuzz-smoke

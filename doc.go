@@ -44,7 +44,11 @@
 // its memory accesses into a trace, and the traces are replayed in
 // dispatch order into the stateful cache/DRAM model — a long group's
 // trace streams into the model while the group is still executing.
-// Simulated timing,
+// A context also memoizes launches: one that repeats the device,
+// kernel, arguments, NDRange and every global byte an earlier
+// execution read writes that execution's results back and replays its
+// traces instead of running the VM, which is how the figure harness's
+// measured run reuses its warm-up. Simulated timing,
 // power and energy are therefore bit-identical at every worker count —
 // only the simulator's own wall-clock changes. WithWorkers(1) forces
 // the serial engine; Queue.FinishCtx and EnqueueNDRangeKernelCtx

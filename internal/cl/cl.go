@@ -85,6 +85,7 @@ type Context struct {
 	workers int
 	engine  vm.Engine
 	metrics *obs.Registry
+	memo    *launchMemo // nil disables launch memoization
 
 	poolMu   sync.Mutex
 	pool     *device.Pool
@@ -191,9 +192,15 @@ func NewContextWith(opts ...ContextOption) *Context {
 		workers:     cfg.workers,
 		engine:      cfg.engine,
 		metrics:     obs.NewRegistry(),
+		memo:        newLaunchMemo(),
 		asyncQueues: cfg.asyncQueues,
 		closeCh:     make(chan struct{}),
 	}
+	c.arena.OnReset(func() {
+		if c.memo != nil {
+			c.memo.drop(false)
+		}
+	})
 	if cfg.pool != nil {
 		c.pool = cfg.pool
 		c.external = true
@@ -373,12 +380,13 @@ func (c *Context) bodyCtx(parent context.Context) (context.Context, func()) {
 }
 
 // Close shuts down the context's async scheduler (the running command
-// completes, every other pending command fails with a typed error) and
-// releases the worker pool. It first marks the context closed (so no
-// new enqueue can acquire the pool), then waits for in-flight enqueues
-// to release it before stopping the workers — Close racing an enqueue
-// is deterministic, not a panic. Enqueues after Close fall back to the
-// serial engine; Close is idempotent.
+// completes, every other pending command fails with a typed error),
+// drops its memoized launches and releases the worker pool. It first
+// marks the context closed (so no new enqueue can acquire the pool),
+// then waits for in-flight enqueues to release it before stopping the
+// workers — Close racing an enqueue is deterministic, not a panic.
+// Enqueues after Close fall back to the serial engine; Close is
+// idempotent.
 func (c *Context) Close() {
 	c.poolMu.Lock()
 	s := c.sched
@@ -409,6 +417,9 @@ func (c *Context) Close() {
 		if !c.external {
 			pool.Close()
 		}
+	}
+	if c.memo != nil {
+		c.memo.drop(true)
 	}
 }
 
@@ -1155,7 +1166,7 @@ func (q *CommandQueue) runNDRangeBody(ctx context.Context, k *Kernel, ndr *devic
 	var err error
 	hostStart := time.Now() // maligo:allow walltime HostSeconds is documented host-side profiling, never simulated state
 	if cr, ok := q.dev.(device.ContextRunner); ok {
-		rep, err = cr.RunWith(rc, ndr, target)
+		rep, err = q.runMemoized(cr, rc, k, ndr, target)
 	} else {
 		// Legacy devices without RunWith cannot trace; the race check
 		// degrades to the static tier only.

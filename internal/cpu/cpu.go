@@ -211,10 +211,10 @@ func (c *CPU) Run(ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, er
 // RunWith implements device.ContextRunner. Work-groups are distributed
 // round-robin over the modelled cores (OpenMP static scheduling of
 // chunked loops — each chunk is one work-item in the CPU versions of
-// the benchmarks). With a pool in rc, groups execute functionally in
-// parallel on the host while their memory traces are replayed through
-// the per-core cache hierarchies in dispatch order, keeping the report
-// bit-identical to serial execution.
+// the benchmarks). Groups execute functionally (in parallel on the
+// host with a pool in rc) while their memory traces are replayed
+// through the per-core cache hierarchies in dispatch order, keeping
+// the report bit-identical at every worker count.
 func (c *CPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, error) {
 	device.NormalizeLocal(c, ndr)
 	if err := device.ValidateNDRange(c, ndr); err != nil {
@@ -231,44 +231,13 @@ func (c *CPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMe
 		}
 	}
 
-	var err error
-	if rc.Parallel() {
-		err = device.RunGroups(rc, ndr, gmem, func(gw *device.GroupWork) error {
-			core := gw.Index % c.cores
-			gw.Trace.Replay(observers[core])
-			gw.Trace.Release()
-			profiles[core].Add(&gw.Profile)
-			return nil
-		})
-	} else {
-		err = device.SerialGroups(rc, ndr, func(wgIndex int, group [3]int) error {
-			core := wgIndex % c.cores
-			cfg := &vm.GroupConfig{
-				Kernel:       ndr.Kernel,
-				WorkDim:      ndr.WorkDim,
-				GroupID:      group,
-				LocalSize:    ndr.Local,
-				GlobalSize:   ndr.Global,
-				GlobalOffset: ndr.Offset,
-				Args:         ndr.Args,
-				Mem:          gmem,
-				Observer:     observers[core],
-				Engine:       rc.Engine,
-			}
-			var detail *vm.Trace
-			if rc.Race != nil {
-				detail = vm.NewTrace()
-				detail.EnableDetail()
-				cfg.Observer = vm.Tee(observers[core], detail)
-			}
-			err := vm.RunGroup(cfg, &profiles[core])
-			if err == nil && detail != nil {
-				rc.Race.ObserveGroup(group, detail)
-			}
-			detail.Release()
-			return err
-		})
-	}
+	err := device.RunGroups(rc, ndr, gmem, func(gw *device.GroupWork) error {
+		core := gw.Index % c.cores
+		gw.Trace.Replay(observers[core])
+		gw.Trace.Release()
+		profiles[core].Add(&gw.Profile)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

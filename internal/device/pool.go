@@ -130,6 +130,16 @@ type RunConfig struct {
 	// the closure-compiled fast path); the zero value resolves to the
 	// fast path. Both engines are observationally identical.
 	Engine vm.Engine
+	// Record, when non-nil and Race is nil, is the record sink: every
+	// group is traced with a retained trace (vm.Trace.Retain), and each
+	// group that consume accepted is handed to Record in dispatch
+	// order. Record owns the trace from then on; the consumer's Release
+	// leaves it replayable.
+	Record func(*GroupWork)
+	// Replay, when non-nil, is the replay source: RunGroups executes
+	// nothing and feeds these recorded groups to consume in dispatch
+	// order, checking the context between groups.
+	Replay []*GroupWork
 }
 
 // Parallel reports whether this config asks for concurrent execution.
@@ -182,30 +192,39 @@ type groupResult struct {
 	err      error
 }
 
-// RunGroups executes every work-group of the NDRange on the pool,
-// recording each group's memory trace, and invokes consume for each
-// group strictly in dispatch (row-major) order. Consume runs on the
-// calling goroutine, so a stateful cost model (shared cache, miss
-// classifier) sees the exact access stream serial execution would have
-// produced — that is what keeps parallel reports bit-identical.
+// RunGroups executes every work-group of the NDRange, recording each
+// group's memory trace, and invokes consume for each group strictly in
+// dispatch (row-major) order. Consume runs on the calling goroutine,
+// so a stateful cost model (shared cache, miss classifier) sees the
+// same access stream at every worker count — that is what keeps
+// parallel reports bit-identical. Consume must Replay the group's
+// trace, then Release it.
 //
-// A group whose trace fills its first chunk announces itself while it
-// is still executing. Once it heads the dispatch order, consume's
-// Replay feeds the timing model from its chunks as they fill, so the
-// model overlaps the group that produces the trace as well as the
-// groups after it. Groups that never fill a chunk, and detail-mode
-// groups, are handed over once they finish.
+// Without a parallel pool every group runs on the calling goroutine
+// and is consumed as soon as it finishes; rc.Replay skips execution
+// altogether (see RunConfig). With a pool, a group whose trace fills
+// its first chunk announces itself while it is still executing. Once
+// it heads the dispatch order, consume's Replay feeds the timing model
+// from its chunks as they fill, so the model overlaps the group that
+// produces the trace as well as the groups after it. Groups that never
+// fill a chunk, and detail-mode groups, are handed over once they
+// finish.
 //
 // Functional memory effects (stores, atomics) hit mem during the
 // concurrent phase in nondeterministic group order; this is sound for
 // data-parallel kernels, whose groups write disjoint ranges or combine
 // via commutative atomics. The first error, in dispatch order, is
-// returned — matching the serial engine's "stop at first failing
-// group" semantics: every earlier group is consumed, and so is the
-// failing group's trace up to the fault, which serial execution would
-// already have fed to the cost model. The race observer does not see
-// the failing group.
+// returned — "stop at first failing group" semantics: every earlier
+// group is consumed, and so is the failing group's trace up to the
+// fault. Neither the race observer nor the record sink sees the
+// failing group; whoever recorded the groups before it discards them.
 func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*GroupWork) error) error {
+	if rc.Replay != nil {
+		return replayGroups(rc, consume)
+	}
+	if !rc.Parallel() {
+		return serialGroups(rc, ndr, gmem, consume)
+	}
 	ctx, cancel := context.WithCancel(rc.Context())
 	defer cancel()
 	pool := rc.Pool
@@ -246,29 +265,14 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 					results <- groupResult{index: idx, err: context.Canceled}
 					return
 				}
-				tr := vm.NewTrace()
-				gw := &GroupWork{Index: idx, Group: g, Trace: tr}
-				if rc.Race != nil {
-					tr.EnableDetail()
-				} else {
-					tr.Stream(func() { results <- groupResult{index: idx, gw: gw, streamed: true} })
+				gw := &GroupWork{Index: idx, Group: g, Trace: newGroupTrace(rc)}
+				if rc.Race == nil {
+					gw.Trace.Stream(func() { results <- groupResult{index: idx, gw: gw, streamed: true} })
 				}
-				cfg := &vm.GroupConfig{
-					Kernel:       ndr.Kernel,
-					WorkDim:      ndr.WorkDim,
-					GroupID:      g,
-					LocalSize:    ndr.Local,
-					GlobalSize:   ndr.Global,
-					GlobalOffset: ndr.Offset,
-					Args:         ndr.Args,
-					Mem:          gmem,
-					Observer:     tr,
-					Engine:       rc.Engine,
-				}
-				gw.err = vm.RunGroup(cfg, &gw.Profile)
+				runGroup(rc, ndr, gmem, gw)
 				// A streamed group was handed over when it announced;
 				// Finish lets its Replay return.
-				if !tr.Finish() {
+				if !gw.Trace.Finish() {
 					results <- groupResult{index: idx, gw: gw}
 				}
 			}
@@ -312,7 +316,7 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 				continue
 			}
 			if res.index > errIndex {
-				res.gw.Trace.Release()
+				res.gw.Trace.Discard()
 				continue
 			}
 			if !res.streamed && res.gw.err != nil {
@@ -326,24 +330,16 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 				}
 				delete(pending, next)
 				next++
-				gw := r.gw
-				if rc.Race != nil && gw.err == nil {
-					rc.Race.ObserveGroup(gw.Group, gw.Trace)
-				}
-				cerr := consume(gw)
-				// gw.err is final now: consume drained a streamed trace.
-				if gw.err != nil {
-					fail(r.index, gw.err)
-				} else if cerr != nil {
-					fail(r.index, cerr)
+				if err := deliver(rc, r.gw, consume); err != nil {
+					fail(r.index, err)
 				}
 			}
 		}
 	}
-	// Releasing a streamed trace waits for its group to finish, so no
+	// Discarding a streamed trace waits for its group to finish, so no
 	// worker is still executing once RunGroups returns.
 	for _, r := range pending { // maligo:allow maporder releasing distinct traces commutes
-		r.gw.Trace.Release()
+		r.gw.Trace.Discard()
 	}
 	if firstErr != nil {
 		return firstErr
@@ -351,20 +347,89 @@ func RunGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*G
 	return rc.Context().Err()
 }
 
-// SerialGroups executes the NDRange's work-groups one at a time on the
-// calling goroutine, checking rc's context between groups. run is
-// invoked in dispatch order with the group's index and ID.
-func SerialGroups(rc RunConfig, ndr *NDRange, run func(index int, group [3]int) error) error {
-	ctx := rc.Ctx
+// recording reports whether rc asks for retained traces.
+func (rc RunConfig) recording() bool { return rc.Record != nil && rc.Race == nil }
+
+// newGroupTrace returns the trace one group records into: a detail
+// trace for the race observer, a retained one for the record sink.
+func newGroupTrace(rc RunConfig) *vm.Trace {
+	tr := vm.NewTrace()
+	if rc.Race != nil {
+		tr.EnableDetail()
+	} else if rc.recording() {
+		tr.Retain()
+	}
+	return tr
+}
+
+// runGroup executes one work-group into gw's trace and profile.
+func runGroup(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, gw *GroupWork) {
+	cfg := &vm.GroupConfig{
+		Kernel:       ndr.Kernel,
+		WorkDim:      ndr.WorkDim,
+		GroupID:      gw.Group,
+		LocalSize:    ndr.Local,
+		GlobalSize:   ndr.Global,
+		GlobalOffset: ndr.Offset,
+		Args:         ndr.Args,
+		Mem:          gmem,
+		Observer:     gw.Trace,
+		Engine:       rc.Engine,
+	}
+	gw.err = vm.RunGroup(cfg, &gw.Profile)
+}
+
+// deliver hands one group, at the head of the dispatch order, to the
+// race observer, consume and the record sink, and returns the group's
+// error. A failing group's trace still reaches consume up to the fault,
+// as the cost model would have seen it.
+func deliver(rc RunConfig, gw *GroupWork, consume func(*GroupWork) error) error {
+	if rc.Race != nil && gw.err == nil {
+		rc.Race.ObserveGroup(gw.Group, gw.Trace)
+	}
+	err := consume(gw)
+	// gw.err is final now: consume drained a streamed trace.
+	if gw.err != nil {
+		err = gw.err
+	}
+	switch {
+	case !rc.recording():
+	case err != nil:
+		gw.Trace.Discard() // consume's Release kept the retained trace
+	default:
+		rc.Record(gw)
+	}
+	return err
+}
+
+// serialGroups is RunGroups without a parallel pool: each group runs
+// on the calling goroutine and is consumed before the next starts.
+// The context is checked between groups.
+func serialGroups(rc RunConfig, ndr *NDRange, gmem vm.GlobalMemory, consume func(*GroupWork) error) error {
+	ctx := rc.Context()
 	idx := 0
 	return ForEachGroup(ndr, func(group [3]int) error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		err := run(idx, group)
+		gw := &GroupWork{Index: idx, Group: group, Trace: newGroupTrace(rc)}
 		idx++
-		return err
+		runGroup(rc, ndr, gmem, gw)
+		return deliver(rc, gw, consume)
 	})
+}
+
+// replayGroups feeds rc.Replay to consume in order, checking the
+// context between groups.
+func replayGroups(rc RunConfig, consume func(*GroupWork) error) error {
+	ctx := rc.Context()
+	for _, gw := range rc.Replay {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := consume(gw); err != nil {
+			return err
+		}
+	}
+	return nil
 }

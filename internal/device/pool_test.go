@@ -1,8 +1,10 @@
 package device_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -227,39 +229,53 @@ func TestRunGroupsCancel(t *testing.T) {
 	}
 }
 
-// TestSerialGroupsOrderAndCancel checks the serial fallback's dispatch
-// order and its between-group cancellation point.
+// TestSerialGroupsOrderAndCancel checks RunGroups without a parallel
+// pool: groups run on the calling goroutine in dispatch order, each
+// consumed before the next starts, and cancellation lands between
+// groups.
 func TestSerialGroupsOrderAndCancel(t *testing.T) {
 	ndr := idNDRange(t, 64, 16)
-	var order []int
-	err := device.SerialGroups(device.RunConfig{}, ndr, func(idx int, group [3]int) error {
-		order = append(order, idx)
-		if group[0] != idx {
-			t.Errorf("group[0] = %d at index %d", group[0], idx)
+	mem := &poolMem{data: make([]byte, 64*4)}
+	for _, pool := range []*device.Pool{nil, device.NewPool(1)} {
+		var order []int
+		err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+			order = append(order, gw.Index)
+			if gw.Group[0] != gw.Index {
+				t.Errorf("group[0] = %d at index %d", gw.Group[0], gw.Index)
+			}
+			if n := replay(t, gw); n != 16 {
+				t.Errorf("group %d replayed %d events, want 16", gw.Index, n)
+			}
+			gw.Trace.Release()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("RunGroups: %v", err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("SerialGroups: %v", err)
-	}
-	if len(order) != 4 {
-		t.Fatalf("ran %d groups, want 4", len(order))
-	}
+		if len(order) != 4 {
+			t.Fatalf("ran %d groups, want 4", len(order))
+		}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	ran := 0
-	err = device.SerialGroups(device.RunConfig{Ctx: ctx}, ndr, func(idx int, group [3]int) error {
-		ran++
-		if ran == 2 {
-			cancel()
+		ctx, cancel := context.WithCancel(context.Background())
+		ran := 0
+		err = device.RunGroups(device.RunConfig{Ctx: ctx, Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
+			ran++
+			if ran == 2 {
+				cancel()
+			}
+			replay(t, gw)
+			gw.Trace.Release()
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran != 2 {
-		t.Fatalf("ran %d groups after cancel, want 2", ran)
+		if ran != 2 {
+			t.Fatalf("ran %d groups after cancel, want 2", ran)
+		}
+		if pool != nil {
+			pool.Close()
+		}
 	}
 }
 
@@ -414,4 +430,129 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	}
 	p.Close()
 	p.Close()
+}
+
+// recordedEvent is one replayed access, for comparing access streams.
+type recordedEvent struct {
+	space  int
+	addr   int64
+	size   int
+	write  bool
+	atomic bool
+}
+
+type streamObserver struct{ events []recordedEvent }
+
+func (o *streamObserver) OnAccess(space int, addr int64, size int, write bool) {
+	o.events = append(o.events, recordedEvent{space: space, addr: addr, size: size, write: write})
+}
+
+func (o *streamObserver) OnAtomic(space int, addr int64, size int) {
+	o.events = append(o.events, recordedEvent{space: space, addr: addr, size: size, atomic: true})
+}
+
+// TestRunGroupsRecordReplay checks the record sink and the replay
+// source: a recorded run, streamed groups included, replays the same
+// per-group access streams and profiles in the same order without
+// executing, any number of times, at every worker count.
+func TestRunGroupsRecordReplay(t *testing.T) {
+	const n, local = 256, 16
+	for _, workers := range []int{1, 4} {
+		ndr := loopNDRange(t, n, local)
+		mem := &poolMem{data: make([]byte, n*4)}
+		var pool *device.Pool
+		if workers > 1 {
+			pool = device.NewPool(workers)
+		}
+		var live streamObserver
+		var profiles []vm.Profile
+		var rec []*device.GroupWork
+		consumeInto := func(o *streamObserver, profs *[]vm.Profile) func(*device.GroupWork) error {
+			return func(gw *device.GroupWork) error {
+				gw.Trace.Replay(o)
+				gw.Trace.Release()
+				*profs = append(*profs, gw.Profile)
+				return nil
+			}
+		}
+		rc := device.RunConfig{Pool: pool, Record: func(gw *device.GroupWork) { rec = append(rec, gw) }}
+		if err := device.RunGroups(rc, ndr, mem, consumeInto(&live, &profiles)); err != nil {
+			t.Fatalf("workers=%d record: %v", workers, err)
+		}
+		if len(rec) != n/local {
+			t.Fatalf("workers=%d: recorded %d groups, want %d", workers, len(rec), n/local)
+		}
+		after := append([]byte(nil), mem.data...)
+		for pass := 0; pass < 2; pass++ {
+			var again streamObserver
+			var replayed []vm.Profile
+			rc := device.RunConfig{Pool: pool, Replay: rec}
+			if err := device.RunGroups(rc, ndr, mem, consumeInto(&again, &replayed)); err != nil {
+				t.Fatalf("workers=%d replay: %v", workers, err)
+			}
+			if !reflect.DeepEqual(again.events, live.events) {
+				t.Fatalf("workers=%d pass %d: replayed stream differs (%d vs %d events)",
+					workers, pass, len(again.events), len(live.events))
+			}
+			if !reflect.DeepEqual(replayed, profiles) {
+				t.Fatalf("workers=%d pass %d: replayed profiles differ", workers, pass)
+			}
+		}
+		if !bytes.Equal(mem.data, after) {
+			t.Fatalf("workers=%d: replay wrote memory", workers)
+		}
+
+		// A cancelled replay stops between groups.
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		err := device.RunGroups(device.RunConfig{Ctx: ctx, Replay: rec}, ndr, mem, func(gw *device.GroupWork) error {
+			seen++
+			cancel()
+			gw.Trace.Replay(&streamObserver{})
+			gw.Trace.Release()
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) || seen != 1 {
+			t.Fatalf("workers=%d cancelled replay: err=%v after %d groups", workers, err, seen)
+		}
+		for _, gw := range rec {
+			gw.Trace.Discard()
+		}
+		if pool != nil {
+			pool.Close()
+		}
+	}
+}
+
+// TestRunGroupsRecordStopsAtFailure checks that the record sink sees
+// the groups before a failing one and never the failing group itself.
+func TestRunGroupsRecordStopsAtFailure(t *testing.T) {
+	ndr := idNDRange(t, 64, 16)
+	mem := &poolMem{data: make([]byte, 64*4)}
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		var pool *device.Pool
+		if workers > 1 {
+			pool = device.NewPool(workers)
+		}
+		recorded := 0
+		rc := device.RunConfig{Pool: pool, Record: func(gw *device.GroupWork) { recorded++; gw.Trace.Discard() }}
+		err := device.RunGroups(rc, ndr, mem, func(gw *device.GroupWork) error {
+			gw.Trace.Replay(&streamObserver{})
+			gw.Trace.Release()
+			if gw.Index == 2 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		}
+		if recorded != 2 {
+			t.Fatalf("workers=%d: record sink saw %d groups, want the 2 before the failure", workers, recorded)
+		}
+		if pool != nil {
+			pool.Close()
+		}
+	}
 }

@@ -186,7 +186,13 @@ func Run(cfg Config) (*Results, error) {
 // benchmark so cache state never leaks between benchmarks; within a
 // benchmark, every version gets a warm-up execution before the
 // measured one, matching the paper's methodology of timing only the
-// steady-state parallel region.
+// steady-state parallel region. The warm-up leaves the simulated
+// caches warm and also records each launch in the context's launch
+// memo, so the measured run, which repeats the launches on the same
+// inputs, replays the recorded traces into the warm timing model
+// instead of executing the kernels again (see internal/cl). Its
+// simulated results are bit-identical to a re-execution, but its
+// HostSeconds measure the replay, not VM cost.
 func runBenchmark(cfg Config, res *Results, meter *power.Meter, name string, prec bench.Precision) error {
 	b := bench.ByName(name)
 	if b == nil {
@@ -231,7 +237,8 @@ func runBenchmark(cfg Config, res *Results, meter *power.Meter, name string, pre
 		q := queues[v]
 
 		// Warm-up execution (caches, like the paper's repeated
-		// iterations reaching steady state).
+		// iterations reaching steady state); it also records the
+		// launches the measured run replays.
 		if _, err := b.Run(q, prog, v); err != nil {
 			return fmt.Errorf("%s warm-up: %w", v, err)
 		}

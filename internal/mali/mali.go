@@ -345,11 +345,11 @@ func (g *GPU) Run(ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, er
 	return g.RunWith(device.RunConfig{}, ndr, gmem)
 }
 
-// RunWith implements device.ContextRunner. With a pool in rc,
-// work-groups execute functionally in parallel while their recorded
+// RunWith implements device.ContextRunner. Work-groups execute
+// functionally (in parallel with a pool in rc) while their recorded
 // memory traces are replayed through the stateful L2/SCU model in
-// dispatch order — so the report is bit-identical to serial execution
-// regardless of worker count.
+// dispatch order — so the report is bit-identical regardless of
+// worker count.
 func (g *GPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, error) {
 	k := ndr.Kernel
 	if k.UsesDouble && g.embedded {
@@ -399,57 +399,17 @@ func (g *GPU) RunWith(rc device.RunConfig, ndr *device.NDRange, gmem vm.GlobalMe
 		lsSlots += cost.lsSlots
 		total.Add(prof)
 	}
-	beginGroup := func(wgIndex int) (dram, localAtomics, seq, rnd uint64) {
-		obs.localBase = (1 << 44) + uint64(wgIndex)*(1<<22)
-		obs.privateBase = (1 << 45) + uint64(wgIndex)*(1<<22)
-		return obs.dramBytes, obs.localAtomics, obs.seqMisses, obs.rndMisses
-	}
 
-	var err error
-	if rc.Parallel() {
-		err = device.RunGroups(rc, ndr, gmem, func(gw *device.GroupWork) error {
-			prevDram, prevLA, prevSeq, prevRnd := beginGroup(gw.Index)
-			gw.Trace.Replay(obs)
-			gw.Trace.Release()
-			account(&gw.Profile, obs.dramBytes-prevDram, obs.localAtomics-prevLA,
-				obs.seqMisses-prevSeq, obs.rndMisses-prevRnd)
-			return nil
-		})
-	} else {
-		err = device.SerialGroups(rc, ndr, func(wgIndex int, group [3]int) error {
-			prevDram, prevLA, prevSeq, prevRnd := beginGroup(wgIndex)
-			var prof vm.Profile
-			cfg := &vm.GroupConfig{
-				Kernel:       k,
-				WorkDim:      ndr.WorkDim,
-				GroupID:      group,
-				LocalSize:    ndr.Local,
-				GlobalSize:   ndr.Global,
-				GlobalOffset: ndr.Offset,
-				Args:         ndr.Args,
-				Mem:          gmem,
-				Observer:     obs,
-				Engine:       rc.Engine,
-			}
-			var detail *vm.Trace
-			if rc.Race != nil {
-				detail = vm.NewTrace()
-				detail.EnableDetail()
-				cfg.Observer = vm.Tee(obs, detail)
-			}
-			if err := vm.RunGroup(cfg, &prof); err != nil {
-				detail.Release()
-				return err
-			}
-			if detail != nil {
-				rc.Race.ObserveGroup(group, detail)
-				detail.Release()
-			}
-			account(&prof, obs.dramBytes-prevDram, obs.localAtomics-prevLA,
-				obs.seqMisses-prevSeq, obs.rndMisses-prevRnd)
-			return nil
-		})
-	}
+	err := device.RunGroups(rc, ndr, gmem, func(gw *device.GroupWork) error {
+		obs.localBase = (1 << 44) + uint64(gw.Index)*(1<<22)
+		obs.privateBase = (1 << 45) + uint64(gw.Index)*(1<<22)
+		prevDram, prevLA, prevSeq, prevRnd := obs.dramBytes, obs.localAtomics, obs.seqMisses, obs.rndMisses
+		gw.Trace.Replay(obs)
+		gw.Trace.Release()
+		account(&gw.Profile, obs.dramBytes-prevDram, obs.localAtomics-prevLA,
+			obs.seqMisses-prevSeq, obs.rndMisses-prevRnd)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ type Arena struct {
 	next     int64
 	count    int64
 	allocs   map[int64]int64 // base -> size, live allocations
+	onReset  func()
 }
 
 // NewArena creates an arena with the given capacity in bytes.
@@ -85,7 +86,20 @@ func (a *Arena) Reset() bool {
 		a.data[i] = 0
 	}
 	a.next, a.count = 0, 0
+	if a.onReset != nil {
+		a.onReset()
+	}
 	return true
+}
+
+// OnReset registers f to run after every successful Reset; the cl
+// runtime drops state derived from the old contents there.
+func (a *Arena) OnReset(f func()) { a.onReset = f }
+
+// AllocSize returns the size of the live allocation starting at base.
+func (a *Arena) AllocSize(base int64) (int64, bool) {
+	size, ok := a.allocs[base]
+	return size, ok
 }
 
 // Capacity returns the arena's total capacity in bytes.

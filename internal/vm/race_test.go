@@ -143,11 +143,11 @@ func TestRaceDetectorIgnoresPlainTrace(t *testing.T) {
 	}
 }
 
-// TestTeeForwardsContext checks that a Tee of a cache-model-style
-// observer and a detail trace still records attributions, and that
-// replaying the detailed trace into a plain observer sees the same
-// memory events as direct observation.
-func TestTeeForwardsContext(t *testing.T) {
+// TestDetailTraceReplaysPlainStream checks that a detail trace records
+// the attributions the race detector needs, and that replaying it into
+// a plain observer sees the same memory events as a plain trace of the
+// same group.
+func TestDetailTraceReplaysPlainStream(t *testing.T) {
 	prog := mustCompile(t, raceLocalSrc, "")
 	const local = 8
 	mem := newFlatMem(4096, nil)
@@ -161,22 +161,24 @@ func TestTeeForwardsContext(t *testing.T) {
 	detail.EnableDetail()
 	defer plain.Release()
 	defer detail.Release()
-	cfg := &vm.GroupConfig{
-		Kernel:     prog.Kernel("shift"),
-		WorkDim:    1,
-		LocalSize:  [3]int{local, 1, 1},
-		GlobalSize: [3]int{local, 1, 1},
-		Args:       args,
-		Mem:        mem,
-		Observer:   vm.Tee(plain, detail),
-	}
-	if err := vm.RunGroup(cfg, &vm.Profile{}); err != nil {
-		t.Fatal(err)
+	for _, tr := range []*vm.Trace{plain, detail} {
+		cfg := &vm.GroupConfig{
+			Kernel:     prog.Kernel("shift"),
+			WorkDim:    1,
+			LocalSize:  [3]int{local, 1, 1},
+			GlobalSize: [3]int{local, 1, 1},
+			Args:       args,
+			Mem:        mem,
+			Observer:   tr,
+		}
+		if err := vm.RunGroup(cfg, &vm.Profile{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	det := &vm.RaceDetector{Kernel: "shift"}
 	det.ObserveGroup([3]int{0, 0, 0}, detail)
 	if len(det.Races()) == 0 {
-		t.Fatal("tee dropped context: no race detected from detailed side")
+		t.Fatal("detail trace lost context: no race detected")
 	}
 
 	// Replay of the detailed trace must reproduce exactly the plain

@@ -30,13 +30,19 @@ const chunkRecs = 8192
 // Replay.
 type chunk [chunkRecs]traceRec
 
-// maxFreeChunks bounds the chunk free list (32 MiB). The paper sweep
-// at scale 0.25 peaks at about 220 chunks in flight — a streamed
-// group that is not yet at the head of the dispatch order queues all
-// its chunks — so the list covers it and steady state allocates no
-// chunks, while one outsized enqueue cannot pin its peak for the life
-// of a process.
-const maxFreeChunks = 256
+// ChunkBytes is the size of one trace chunk, the unit retained traces
+// are budgeted in.
+const ChunkBytes = chunkRecs * 16
+
+// maxFreeChunks bounds the chunk free list (96 MiB). A retained launch
+// (see TraceStore) returns its chunks here when it is evicted, so the
+// list covers a full retention budget (512 chunks in internal/cl) on
+// top of the streaming peak: the paper sweep at scale 0.25 keeps about
+// 220 chunks in flight, because a streamed group that is not yet at
+// the head of the dispatch order queues all its chunks. Steady state
+// therefore allocates no chunks, while one outsized enqueue cannot pin
+// its peak for the life of a process.
+const maxFreeChunks = 768
 
 // chunkFree recycles chunks between traces. Chunks are taken on the
 // recording goroutine and returned on the replaying one, so the list
@@ -89,6 +95,11 @@ type Trace struct {
 	n     int      // records in cur
 	full  []*chunk // filled chunks not yet handed to a streaming Replay
 	nfull int      // chunks filled since NewTrace
+	off   int      // first record of cur (non-zero once a TraceStore packs the tail)
+
+	// retain keeps the chunks through Replay and Release, so a
+	// TraceStore can replay the trace again later.
+	retain bool
 
 	detail   bool
 	line     uint16
@@ -114,8 +125,8 @@ var tracePool = sync.Pool{New: func() any { return &Trace{ready: make(chan struc
 // NewTrace returns an empty trace (possibly recycled).
 func NewTrace() *Trace {
 	t := tracePool.Get().(*Trace)
-	t.cur, t.n, t.nfull = getChunk(), 0, 0
-	t.detail = false
+	t.cur, t.n, t.nfull, t.off = getChunk(), 0, 0, 0
+	t.detail, t.retain = false, false
 	t.line = 0
 	t.announce, t.streaming, t.finished = nil, false, false
 	select {
@@ -127,7 +138,10 @@ func NewTrace() *Trace {
 
 // Release returns the trace and its chunks to the recycle pools. On a
 // streaming trace it first waits for the recording goroutine to
-// Finish. The caller must not use the trace afterwards.
+// Finish. The caller must not use the trace afterwards. A retained
+// trace (Retain) keeps its chunks: Release only waits for the
+// recorder, and the trace stays replayable until Discard or its
+// TraceStore frees it.
 func (t *Trace) Release() {
 	if t == nil {
 		return
@@ -135,15 +149,42 @@ func (t *Trace) Release() {
 	if t.streaming {
 		t.drain(nil)
 	}
+	if !t.retain {
+		t.free(true)
+	}
+}
+
+// Discard is Release for a trace that must go back to the pools even
+// if it was retained.
+func (t *Trace) Discard() {
+	if t == nil {
+		return
+	}
+	if t.streaming {
+		t.drain(nil)
+	}
+	t.free(true)
+}
+
+// free recycles the trace's full chunks, its current chunk when it
+// owns it, and the header.
+func (t *Trace) free(ownCur bool) {
 	for i, c := range t.full {
 		putChunk(c)
 		t.full[i] = nil
 	}
 	t.full = t.full[:0]
-	putChunk(t.cur)
+	if ownCur {
+		putChunk(t.cur)
+	}
 	t.cur = nil
 	tracePool.Put(t)
 }
+
+// Retain makes the trace keep its chunks through Replay and Release,
+// so it can replay any number of times; hand it to a TraceStore once
+// it is complete. Must be called before recording.
+func (t *Trace) Retain() { t.retain = true }
 
 // EnableDetail switches the trace into detail mode: work-item/phase
 // context switches are interleaved with the access records and each
@@ -258,14 +299,14 @@ func (t *Trace) OnAtomic(space int, addr int64, size int) {
 
 // Len returns the number of recorded events. On a streaming trace it
 // is final once Replay has returned.
-func (t *Trace) Len() int { return t.nfull*chunkRecs + t.n }
+func (t *Trace) Len() int { return t.nfull*chunkRecs + t.n - t.off }
 
 // at returns record i of a trace that is not streaming.
 func (t *Trace) at(i int) *traceRec {
 	if c := i / chunkRecs; c < len(t.full) {
 		return &t.full[c][i%chunkRecs]
 	}
-	return &t.cur[i-len(t.full)*chunkRecs]
+	return &t.cur[t.off+i-len(t.full)*chunkRecs]
 }
 
 // Replay feeds the recorded events into o in recording order. Context
@@ -275,7 +316,8 @@ func (t *Trace) at(i int) *traceRec {
 // On a streaming trace Replay runs concurrently with the recording:
 // it delivers chunks as they fill, recycles them, and returns once the
 // recorder has called Finish and the last record is delivered. A
-// streaming trace replays once.
+// streaming trace replays once, unless it is retained: then Replay
+// keeps the chunks and the trace replays as a whole from then on.
 func (t *Trace) Replay(o AccessObserver) {
 	if t.streaming {
 		t.drain(o)
@@ -284,12 +326,14 @@ func (t *Trace) Replay(o AccessObserver) {
 	for _, c := range t.full {
 		replayRecs(o, c[:])
 	}
-	replayRecs(o, t.cur[:t.n])
+	replayRecs(o, t.cur[t.off:t.n])
 }
 
 // drain is Replay for a streaming trace; a nil o discards the records.
+// A retained trace keeps the drained chunks and stops streaming.
 func (t *Trace) drain(o AccessObserver) {
 	batch := t.batch
+	var kept []*chunk
 	for {
 		t.mu.Lock()
 		batch, t.full = t.full, batch[:0]
@@ -299,7 +343,11 @@ func (t *Trace) drain(o AccessObserver) {
 			if o != nil {
 				replayRecs(o, c[:])
 			}
-			putChunk(c)
+			if t.retain {
+				kept = append(kept, c)
+			} else {
+				putChunk(c)
+			}
 			batch[i] = nil
 		}
 		if done {
@@ -312,6 +360,12 @@ func (t *Trace) drain(o AccessObserver) {
 	t.batch = batch[:0]
 	if o != nil {
 		replayRecs(o, t.cur[:t.n])
+	}
+	if t.retain {
+		// The recorder has finished, so the trace is complete and
+		// this goroutine owns it.
+		t.full = append(t.full, kept...)
+		t.streaming = false
 	}
 }
 

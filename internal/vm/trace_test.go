@@ -214,8 +214,10 @@ func TestTraceStreamingRelease(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		recordRandom(tr, 3*8192, 4)
-		tr.Finish()
+		// Closed before Finish: Release may return as soon as Finish
+		// has run, before anything after it on this goroutine.
 		close(done)
+		tr.Finish()
 	}()
 	(<-published).Release()
 	select {
@@ -254,5 +256,62 @@ func TestTraceWholeHandOff(t *testing.T) {
 				t.Fatalf("replay differs from the recording (%d vs %d events)", len(got.events), len(want))
 			}
 		})
+	}
+}
+
+// TestTraceStoreReplaysRetainedTraces records one streamed and several
+// whole retained traces, keeps them in a TraceStore and checks that
+// each replays its recording exactly, any number of times, with the
+// small tails packed into shared chunks.
+func TestTraceStoreReplaysRetainedTraces(t *testing.T) {
+	var store vm.TraceStore
+	var traces []*vm.Trace
+	var wants [][]traceEvent
+
+	streamed := vm.NewTrace()
+	streamed.Retain()
+	published := make(chan *vm.Trace, 1)
+	streamed.Stream(func() { published <- streamed })
+	wantCh := make(chan []traceEvent, 1)
+	go func() {
+		want := recordRandom(streamed, 3*8192+5, 7)
+		streamed.Finish()
+		wantCh <- want
+	}()
+	first := &recObserver{}
+	(<-published).Replay(first)
+	streamed.Release() // a retained trace survives the consumer's Release
+	want := <-wantCh
+	if !reflect.DeepEqual(first.events, want) {
+		t.Fatalf("streamed replay differs from the recording")
+	}
+	store.Keep(streamed)
+	traces, wants = append(traces, streamed), append(wants, want)
+
+	for i, n := range []int{10, 3000, 6000, 1} {
+		tr := vm.NewTrace()
+		tr.Retain()
+		wants = append(wants, recordRandom(tr, n, int64(i)))
+		store.Keep(tr)
+		traces = append(traces, tr)
+	}
+	// Three full chunks of the streamed trace, then its tail and the
+	// first two small traces in one pack, the last two in a second.
+	if got := store.Chunks(); got != 5 {
+		t.Errorf("Chunks = %d, want 5", got)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, tr := range traces {
+			got := &recObserver{}
+			tr.Replay(got)
+			tr.Release()
+			if tr.Len() != len(wants[i]) || !reflect.DeepEqual(got.events, wants[i]) {
+				t.Fatalf("pass %d trace %d: replay differs from the recording", pass, i)
+			}
+		}
+	}
+	store.Free()
+	if store.Chunks() != 0 {
+		t.Errorf("Chunks after Free = %d", store.Chunks())
 	}
 }

@@ -66,51 +66,6 @@ type ContextObserver interface {
 	ContextActive() bool
 }
 
-// Tee fans one access stream out to two observers (e.g. a device cache
-// model and a detail trace for race checking). Either may be nil.
-// Context callbacks are forwarded to whichever parts implement
-// ContextObserver.
-func Tee(a, b AccessObserver) AccessObserver {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	t := &tee{a: a, b: b}
-	t.ca, _ = a.(ContextObserver)
-	t.cb, _ = b.(ContextObserver)
-	return t
-}
-
-type tee struct {
-	a, b   AccessObserver
-	ca, cb ContextObserver
-}
-
-func (t *tee) OnAccess(space int, addr int64, size int, write bool) {
-	t.a.OnAccess(space, addr, size, write)
-	t.b.OnAccess(space, addr, size, write)
-}
-
-func (t *tee) OnAtomic(space int, addr int64, size int) {
-	t.a.OnAtomic(space, addr, size)
-	t.b.OnAtomic(space, addr, size)
-}
-
-func (t *tee) OnContext(item, phase, line int) {
-	if t.ca != nil {
-		t.ca.OnContext(item, phase, line)
-	}
-	if t.cb != nil {
-		t.cb.OnContext(item, phase, line)
-	}
-}
-
-func (t *tee) ContextActive() bool {
-	return (t.ca != nil && t.ca.ContextActive()) || (t.cb != nil && t.cb.ContextActive())
-}
-
 // Profile accumulates execution statistics for one enqueue (all
 // work-groups of one NDRange).
 type Profile struct {
