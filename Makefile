@@ -50,18 +50,21 @@ bench:
 # Cheap benchmark smoke for CI: one iteration of the VM engine
 # benchmarks under both engines, of the streamed-group benchmark (one
 # group whose trace streams into the CPU timing model, at 1 and 2
-# workers) and of the launch-memo benchmark (one GPU launch executed
-# and recorded against replayed), so a broken bench harness fails
-# verify rather than the next baseline refresh.
+# workers), of the launch-memo benchmark (one GPU launch executed
+# and recorded against replayed) and of the cold-admission benchmark
+# (compile, analyzer gate and seeded transform pipeline), so a broken
+# bench harness fails verify rather than the next baseline refresh.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 1x ./internal/vm >/dev/null
 	$(GO) test -run xxx -bench BenchmarkStreamedGroup -benchmem -benchtime 1x ./internal/cpu >/dev/null
 	$(GO) test -run xxx -bench BenchmarkLaunchMemo -benchmem -benchtime 1x ./internal/cl >/dev/null
+	$(GO) test -run xxx -bench BenchmarkColdAdmission -benchmem -benchtime 1x ./internal/service/progcache >/dev/null
 
 # Layer-level cost of a cold optimizing admission: compile, the
-# analyzer gate and the transform pipeline over one cycle of the
-# nine-benchmark job mix, plus one sub-benchmark per mix kernel, with
-# allocation counts. CI runs it at BENCHTIME=1x so the harness cannot rot.
+# analyzer gate and the transform pipeline seeded with the gate's
+# dataflow facts, over one cycle of the nine-benchmark job mix, plus
+# one sub-benchmark per mix kernel, with allocation counts. This is
+# the timed run; bench-smoke runs one iteration in verify.
 BENCHTIME ?= 1s
 bench-admission:
 	$(GO) test -run xxx -bench BenchmarkColdAdmission -benchmem -benchtime $(BENCHTIME) ./internal/service/progcache

@@ -190,7 +190,9 @@
 // `malid -optimize`: admitted programs run through the pipeline,
 // original and transformed binaries cache under distinct content
 // addresses, and responses carry the applied passes in an
-// X-Malid-Optimize header.
+// X-Malid-Optimize header. A cold admission solves each kernel's
+// dataflow once: the analyzer gate's facts seed the pipeline, and only
+// a pass that rewrites code makes the next pass solve again.
 //
 // # Observability
 //

@@ -124,11 +124,14 @@ type Context struct {
 	sink      *[]Diagnostic
 	facts     *dataflow.Facts
 	factsDone bool
+	trips     map[int]int64 // irTripByLine's result; nil until first use
 }
 
 // Facts lazily runs the tier-2 dataflow engine over the kernel's IR.
-// The result is shared by every pass analyzing this kernel. Returns
-// nil when no IR is available.
+// The result is shared by every pass analyzing this kernel, and
+// AnalyzeFacts hands it on so the transform pipeline starts from it
+// instead of solving the same kernel again. Returns nil when no IR is
+// available.
 func (c *Context) Facts() *dataflow.Facts {
 	if !c.factsDone {
 		c.factsDone = true
@@ -198,11 +201,25 @@ func Analyze(art *clc.Artifacts) []Diagnostic {
 // A nil or empty subset runs everything. Unknown names are ignored
 // here; callers validate with PassNames.
 func AnalyzePasses(art *clc.Artifacts, only []string) []Diagnostic {
+	diags, _ := analyze(art, only)
+	return diags
+}
+
+// AnalyzeFacts is Analyze that also returns, per kernel name, the
+// tier-2 dataflow facts its passes solved over art.Prog's kernels.
+// A kernel no pass solved for is absent. The facts describe art.Prog
+// as compiled; opt.OptimizeSeeded starts its pipeline from them.
+func AnalyzeFacts(art *clc.Artifacts) ([]Diagnostic, map[string]*dataflow.Facts) {
+	return analyze(art, nil)
+}
+
+func analyze(art *clc.Artifacts, only []string) ([]Diagnostic, map[string]*dataflow.Facts) {
 	want := map[string]bool{}
 	for _, n := range only {
 		want[n] = true
 	}
 	var diags []Diagnostic
+	facts := map[string]*dataflow.Facts{}
 	for _, fn := range art.Sema.Kernels {
 		ctx := &Context{
 			File: art.Name,
@@ -218,9 +235,12 @@ func AnalyzePasses(art *clc.Artifacts, only []string) []Diagnostic {
 			ctx.pass = p.Name
 			p.Run(ctx)
 		}
+		if ctx.facts != nil {
+			facts[fn.Name] = ctx.facts
+		}
 	}
 	diags = applySuppressions(art, diags)
-	return dedupeSort(diags)
+	return dedupeSort(diags), facts
 }
 
 // dedupeSort imposes the canonical diagnostic order — position, then

@@ -13,9 +13,13 @@ import (
 // per-block entry facts (non-top entries only), edge executability,
 // the divergence-influenced blocks, the reaching definitions of every
 // register use, and the recognized loops.
-func GoldenFacts(k *ir.Kernel) string {
-	f := Analyze(k)
+func GoldenFacts(k *ir.Kernel) string { return RenderFacts(Analyze(k)) }
+
+// RenderFacts is GoldenFacts for facts already solved, read against
+// the kernel their graph points at.
+func RenderFacts(f *Facts) string {
 	g := f.G
+	k := g.Kernel
 	var b strings.Builder
 	fmt.Fprintf(&b, "kernel %s I=%d F=%d blocks=%d\n", k.Name, k.NumI, k.NumF, len(g.Blocks))
 

@@ -44,10 +44,19 @@ type Loop struct {
 }
 
 // Loops recognizes the kernel's natural loops and, where possible,
-// their trip counts. Loops are returned in header order.
+// their trip counts. Loops are returned in header order. The result is
+// computed once per Facts and shared by every caller, so it is
+// read-only.
 func (f *Facts) Loops() []Loop {
+	if f.loops == nil {
+		f.loops = f.findLoops()
+	}
+	return f.loops
+}
+
+func (f *Facts) findLoops() []Loop {
 	g := f.G
-	var loops []Loop
+	loops := []Loop{}
 	for _, b := range g.RPO {
 		for _, s := range g.Blocks[b].Succs {
 			if g.Reachable(s) && g.Dominates(s, b) {

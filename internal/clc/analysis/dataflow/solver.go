@@ -22,7 +22,8 @@ type Facts struct {
 
 	du      *DefUse
 	segs    *segments
-	scratch *env // envBefore's replay buffer
+	scratch *env   // envBefore's replay buffer
+	loops   []Loop // Loops' result; nil until the first call
 }
 
 // Analyze runs the dataflow engine over a kernel.
@@ -47,6 +48,25 @@ func Analyze(k *ir.Kernel) *Facts {
 		}
 	}
 	return f
+}
+
+// Rebind returns the same solved facts for k, which must be an
+// unmodified deep clone of the kernel f was solved for: the solve
+// depends only on the code, the register banks and the parameters'
+// classes, slots and scalar bases, all of which a clone shares. The
+// per-block results and the recognized loops are shared with f; the
+// graph points at k, and the def-use chains, barrier phases and replay
+// buffer are rebuilt against k on first use, so a caller that rewrites
+// k reads exactly what a fresh Analyze(k) at the same moment would
+// give it.
+func (f *Facts) Rebind(k *ir.Kernel) *Facts {
+	old := f.G.Kernel
+	if len(k.Code) != len(old.Code) || k.NumI != old.NumI || k.NumF != old.NumF || len(k.Params) != len(old.Params) {
+		panic("dataflow: Rebind to a kernel that is not a clone of the solved one")
+	}
+	g := *f.G
+	g.Kernel = k
+	return &Facts{G: &g, in: f.in, exec: f.exec, infl: f.infl, loops: f.loops}
 }
 
 // solve runs the combined worklist iteration and returns per-block

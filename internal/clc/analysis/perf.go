@@ -84,9 +84,14 @@ func globalScalarParam(res *sema.Result, e *ast.IndexExpr) *sema.Symbol {
 
 // irTripByLine maps source lines of loop headers to the exact trip
 // count the dataflow engine derived (-1 for uncounted loops). Syntax
-// passes use it to attach iteration facts to for-statements.
+// passes use it to attach iteration facts to for-statements. The map
+// is built once per kernel and shared, so callers only read it.
 func irTripByLine(c *Context) map[int]int64 {
+	if c.trips != nil {
+		return c.trips
+	}
 	trips := map[int]int64{}
+	c.trips = trips
 	f := c.Facts()
 	if f == nil {
 		return trips

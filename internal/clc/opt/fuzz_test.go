@@ -11,7 +11,9 @@ import (
 // compiled, pushed through the full pass pipeline, and every kernel is
 // executed on both VM engines against the reference interpreter
 // running the UNTRANSFORMED IR. Any divergence — results, or
-// fault/no-fault disagreement — is a soundness bug in a pass.
+// fault/no-fault disagreement — is a soundness bug in a pass. Every
+// input also runs the pipeline seeded with the analyzer gate's facts,
+// which must give the unseeded output and report exactly.
 //
 // The seed corpus covers each pass plus the hard refusal shapes;
 // `make fuzz-smoke` gives it a short deterministic budget on every CI
@@ -27,10 +29,12 @@ func FuzzTransformEquivalence(f *testing.F) {
 		if len(src) > 1<<14 {
 			t.Skip("oversized source")
 		}
-		prog, err := clc.Compile("fuzz.cl", src, "")
+		art, err := clc.CompileArtifacts("fuzz.cl", src, "")
 		if err != nil {
 			t.Skip("source does not compile")
 		}
+		checkSeededMatchesFresh(t, art)
+		prog := art.Prog
 		out, rep, err := OptimizeWith(prog, nil)
 		if err != nil {
 			t.Fatalf("OptimizeWith on compiled source: %v", err)

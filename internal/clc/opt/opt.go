@@ -7,11 +7,15 @@
 // kernel in place when its soundness conditions hold, and records an
 // applicability Result either way — including the reason it refused,
 // keyed to the analyzer pass whose diagnostic it answers. Facts are
-// recomputed only after a pass changes the kernel: a refusing pass
-// leaves it untouched, so the next pass reuses the same facts. The
-// pipeline order is fixed: qualifier promotion runs first so the
-// vectorizer can rely on promoted restrict facts, the SoA relayout
-// runs before vectorization so rewritten address chains are
+// solved once per kernel and re-solved only after a pass rewrites
+// code: a refusing pass leaves the kernel untouched, and a
+// qualifier-only pass (constrestrict) changes nothing the facts read,
+// so the next pass reuses the same facts. OptimizeSeeded goes further
+// and starts from the facts the analyzer gate already solved for the
+// same kernels, so a cold optimizing admission solves each kernel
+// once. The pipeline order is fixed: qualifier promotion runs first
+// so the vectorizer can rely on promoted restrict facts, the SoA
+// relayout runs before vectorization so rewritten address chains are
 // re-analyzed, and unrolling runs last on whatever loops remain.
 //
 // The correctness contract is absolute: a transformed kernel must
@@ -112,14 +116,25 @@ func (r *Report) String() string {
 }
 
 // passCtx is the per-pass view of one kernel. Facts describe the
-// kernel as the pass finds it: they are recomputed after a pass
-// changes the kernel, so later passes see earlier rewrites, and shared
-// across passes that refuse.
+// kernel as the pass finds it: they are re-solved after a pass rewrites
+// code, so later passes see earlier rewrites, and shared across passes
+// that refuse or only change qualifiers. mem is the memory
+// classification of those facts, shared the same way.
 type passCtx struct {
 	k     *ir.Kernel
 	facts *dataflow.Facts
+	mem   map[int]memAttrib
 	notes []string
 	sites int
+}
+
+// memAttribs returns classifyMem for the pass's facts, computed once
+// per facts value.
+func (c *passCtx) memAttribs() map[int]memAttrib {
+	if c.mem == nil {
+		c.mem = classifyMem(c.k, c.facts)
+	}
+	return c.mem
 }
 
 func (c *passCtx) note(format string, args ...any) {
@@ -135,8 +150,16 @@ type Pass struct {
 	// run rewrites c.k in place and reports whether it changed it. A
 	// pass that returns false must leave the kernel exactly as it found
 	// it (TestRefusalLeavesKernelUnchanged): the pipeline hands the
-	// same facts to the next pass.
+	// same facts to the next pass. After a pass that returns true, the
+	// next pass gets freshly solved facts, unless qualifiersOnly.
 	run func(c *passCtx) bool
+
+	// qualifiersOnly declares that run changes only parameter
+	// qualifiers and the kernel's qualifier counters, never code. The
+	// dataflow reads neither, so the facts outlive the pass even when
+	// it applies (TestQualifierPassKeepsFacts,
+	// TestQualifierOnlyDeclarations).
+	qualifiersOnly bool
 }
 
 // passes is the registry in pipeline order. Qualifier promotion runs
@@ -149,6 +172,8 @@ var passes = []Pass{
 		Doc:     "promote const/restrict on __global pointer params the dataflow proves unwritten/unaliased (§V-D)",
 		Answers: []string{"constparam", "restrictparam"},
 		run:     runConstRestrict,
+
+		qualifiersOnly: true,
 	},
 	{
 		Name:    "soa",
@@ -232,17 +257,31 @@ func OptimizeWith(p *ir.Program, only []string) (*ir.Program, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	out, rep := optimizeProgram(p, sel, nil)
+	return out, rep, nil
+}
+
+// OptimizeSeeded is Optimize starting from already-solved dataflow
+// facts, keyed by kernel name, as analysis.AnalyzeFacts returns them
+// for the program it compiled. Each seed must describe p's kernel as
+// it is; a kernel without a seed is solved here. The output and the
+// report are identical to Optimize's (TestSeededMatchesFresh).
+func OptimizeSeeded(p *ir.Program, seeds map[string]*dataflow.Facts) (*ir.Program, *Report) {
+	return optimizeProgram(p, passes, seeds)
+}
+
+func optimizeProgram(p *ir.Program, sel []Pass, seeds map[string]*dataflow.Facts) (*ir.Program, *Report) {
 	rep := &Report{}
 	changed := map[string]*ir.Kernel{}
 	for _, name := range sortedKernelNames(p) {
-		k2, results := optimizeKernel(p.Kernels[name], sel)
+		k2, results := optimizeKernel(p.Kernels[name], sel, seeds[name])
 		rep.Results = append(rep.Results, results...)
 		if k2 != p.Kernels[name] {
 			changed[name] = k2
 		}
 	}
 	if len(changed) == 0 {
-		return p, rep, nil
+		return p, rep
 	}
 	out := &ir.Program{
 		Kernels:      make(map[string]*ir.Kernel, len(p.Kernels)),
@@ -256,7 +295,7 @@ func OptimizeWith(p *ir.Program, only []string) (*ir.Program, *Report, error) {
 			out.Kernels[name] = k
 		}
 	}
-	return out, rep, nil
+	return out, rep
 }
 
 // OptimizeKernel runs the named passes (nil means all) over a single
@@ -267,24 +306,32 @@ func OptimizeKernel(k *ir.Kernel, only []string) (*ir.Kernel, []Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	k2, results := optimizeKernel(k, sel)
+	k2, results := optimizeKernel(k, sel, nil)
 	return k2, results, nil
 }
 
-func optimizeKernel(k *ir.Kernel, sel []Pass) (*ir.Kernel, []Result) {
+// optimizeKernel runs sel over a clone of k. seed, when non-nil, is
+// the solved facts of k itself; the pipeline rebinds them to the clone
+// instead of solving it again.
+func optimizeKernel(k *ir.Kernel, sel []Pass, seed *dataflow.Facts) (*ir.Kernel, []Result) {
 	work := cloneKernel(k)
 	var results []Result
 	any := false
-	var facts *dataflow.Facts // nil once a pass has changed the kernel
+	var facts *dataflow.Facts // nil once a pass has rewritten code
+	if seed != nil {
+		facts = seed.Rebind(work)
+	}
+	var mem map[int]memAttrib // classifyMem of facts, once a pass needed it
 	for _, p := range sel {
 		if facts == nil {
-			facts = dataflow.Analyze(work)
+			facts, mem = dataflow.Analyze(work), nil
 		}
-		c := &passCtx{k: work, facts: facts}
+		c := &passCtx{k: work, facts: facts, mem: mem}
 		applied := p.run(c)
-		if applied {
+		if applied && !p.qualifiersOnly {
 			facts = nil
 		}
+		mem = c.mem
 		any = any || applied
 		results = append(results, Result{
 			Pass:    p.Name,

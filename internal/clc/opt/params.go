@@ -29,7 +29,7 @@ import (
 func runConstRestrict(c *passCtx) bool {
 	k, f := c.k, c.facts
 
-	attribs := classifyMem(k, f)
+	attribs := c.memAttribs()
 	writtenParam := make([]bool, len(k.Params))
 	unknownWrite, unknownGlobal := false, false
 	for i := range k.Code {

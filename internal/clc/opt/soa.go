@@ -51,7 +51,7 @@ func runSoA(c *passCtx) bool {
 		}
 	}
 
-	attribs := classifyMem(k, f)
+	attribs := c.memAttribs()
 
 	var applied bool
 	var fixups []struct {

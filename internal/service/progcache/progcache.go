@@ -125,12 +125,25 @@ func (c *Cache) Len() int {
 	return c.order.Len()
 }
 
-// Stats returns cumulative hit/miss counts. A disk reload counts as a
-// hit (the compile was skipped — that is what the metric tracks).
+// Stats returns cumulative hit/miss counts. Every GetOrCompile* call
+// counts exactly once, as the hit it returns: a disk reload counts as
+// a hit (the compile was skipped — that is what the metric tracks),
+// and an optimizing call that finds only the plain entry is a miss.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// count records one GetOrCompile* outcome.
+func (c *Cache) count(hit bool) {
+	c.mu.Lock()
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	c.mu.Unlock()
 }
 
 // Get returns the entry for a content address, consulting memory and
@@ -159,28 +172,17 @@ func (c *Cache) Get(id string) (*Entry, bool) {
 func (c *Cache) GetOrCompile(source, options string) (e *Entry, hit bool, err error) {
 	id := job.ProgramID(source, options)
 	if e, ok := c.Get(id); ok {
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
+		c.count(true)
 		return e, true, nil
 	}
+	c.count(false)
 	art, err := job.Compile(source, options)
 	if err != nil {
-		c.mu.Lock()
-		c.misses++
-		c.mu.Unlock()
 		return nil, false, fmt.Errorf("%w: %v", cl.ErrBuildFailure, err)
 	}
-	e = &Entry{
-		ID: id, Source: source, Options: options, Prog: art.Prog,
-		Analyzed: true, Diags: analysis.Analyze(art),
-		EngineTier: CurrentEngineTier,
-	}
+	e = plainEntry(id, source, options, art.Prog, analysis.Analyze(art))
 	c.insert(e)
 	c.store(e)
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
 	return e, false, nil
 }
 
@@ -190,29 +192,62 @@ func (c *Cache) GetOrCompile(source, options string) (e *Entry, hit bool, err er
 // admission gates still judge the program the tenant wrote, and a
 // later non-optimizing daemon hits the plain entry untouched. The
 // entry's Diags are the plain program's — the transforms answer those
-// diagnostics, they do not re-lint their own output.
+// diagnostics, they do not re-lint their own output. When only the
+// plain entry is cached, the call is a miss that optimizes it without
+// recompiling.
 func (c *Cache) GetOrCompileOptimized(source, options string) (e *Entry, hit bool, err error) {
 	id := OptimizedID(source, options)
 	if e, ok := c.Get(id); ok {
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
+		c.count(true)
 		return e, true, nil
 	}
-	base, _, err := c.GetOrCompile(source, options)
-	if err != nil {
-		return nil, false, err
-	}
-	prog, rep := opt.Optimize(base.Prog)
-	e = &Entry{
-		ID: id, Source: source, Options: options, Prog: prog,
-		Analyzed: true, Diags: base.Diags,
-		EngineTier: CurrentEngineTier,
-		Optimized:  true, OptPasses: rep.AppliedPasses(),
+	c.count(false)
+	if base, ok := c.Get(job.ProgramID(source, options)); ok {
+		prog, rep := opt.Optimize(base.Prog)
+		e = optimizedEntry(base, prog, rep)
+	} else {
+		var base *Entry
+		if base, e, err = admit(source, options); err != nil {
+			return nil, false, fmt.Errorf("%w: %v", cl.ErrBuildFailure, err)
+		}
+		c.insert(base)
+		c.store(base)
 	}
 	c.insert(e)
 	c.store(e)
 	return e, false, nil
+}
+
+// admit is one cold optimizing admission below the cache: it compiles
+// once, runs the analyzer gate, and optimizes starting from the
+// dataflow facts the gate solved, so each kernel is solved once up
+// front. It returns the plain entry and the optimized one.
+func admit(source, options string) (base, optimized *Entry, err error) {
+	art, err := job.Compile(source, options)
+	if err != nil {
+		return nil, nil, err
+	}
+	diags, facts := analysis.AnalyzeFacts(art)
+	base = plainEntry(job.ProgramID(source, options), source, options, art.Prog, diags)
+	prog, rep := opt.OptimizeSeeded(art.Prog, facts)
+	return base, optimizedEntry(base, prog, rep), nil
+}
+
+func plainEntry(id, source, options string, prog *ir.Program, diags []analysis.Diagnostic) *Entry {
+	return &Entry{
+		ID: id, Source: source, Options: options, Prog: prog,
+		Analyzed: true, Diags: diags,
+		EngineTier: CurrentEngineTier,
+	}
+}
+
+func optimizedEntry(base *Entry, prog *ir.Program, rep *opt.Report) *Entry {
+	return &Entry{
+		ID: OptimizedID(base.Source, base.Options), Source: base.Source, Options: base.Options, Prog: prog,
+		Analyzed: true, Diags: base.Diags,
+		EngineTier: CurrentEngineTier,
+		Optimized:  true, OptPasses: rep.AppliedPasses(),
+	}
 }
 
 // insert adds an entry at the LRU front, evicting beyond the bound.

@@ -347,3 +347,62 @@ func TestOptimizedEntryDistinctAddresses(t *testing.T) {
 		t.Fatalf("recompile after tamper: hit=%v err=%v", hit, err)
 	}
 }
+
+// TestStatsMatchReturnedHit: every GetOrCompile* call counts exactly
+// one hit or one miss, and it is the hit the call returns — the value
+// malid reports in X-Malid-Cache — for each order of plain and
+// optimizing calls, from memory and from disk.
+func TestStatsMatchReturnedHit(t *testing.T) {
+	type call struct {
+		optimized bool
+		fresh     bool // a new cache over the same directory first
+		wantHit   bool
+	}
+	cases := []struct {
+		name  string
+		src   string
+		calls []call
+	}{
+		{"plain then optimized", loopSrc, []call{{false, false, false}, {true, false, false}}},
+		{"optimized then plain", loopSrc, []call{{true, false, false}, {false, false, true}}},
+		{"optimized memory hit", loopSrc, []call{{true, false, false}, {true, false, true}}},
+		{"optimized disk reload", loopSrc, []call{{true, false, false}, {true, true, true}}},
+		{"plain disk reload then optimized", loopSrc, []call{{false, false, false}, {false, true, true}, {true, false, false}}},
+		{"build failure", "__kernel void broken(", []call{{true, false, false}, {false, false, false}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := New(8, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantHits, wantMisses uint64 // expected Stats of c
+			for i, step := range tc.calls {
+				if step.fresh {
+					if c, err = New(8, dir); err != nil {
+						t.Fatal(err)
+					}
+					wantHits, wantMisses = 0, 0
+				}
+				get := c.GetOrCompile
+				if step.optimized {
+					get = c.GetOrCompileOptimized
+				}
+				_, hit, _ := get(tc.src, "")
+				if hit != step.wantHit {
+					t.Fatalf("call %d: hit = %v, want %v", i, hit, step.wantHit)
+				}
+				if hit {
+					wantHits++
+				} else {
+					wantMisses++
+				}
+				if hits, misses := c.Stats(); hits != wantHits || misses != wantMisses {
+					t.Fatalf("after call %d: stats = %d hits / %d misses, want %d / %d",
+						i, hits, misses, wantHits, wantMisses)
+				}
+			}
+		})
+	}
+}
