@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // stable JSON document, for committing benchmark baselines:
 //
-//	go test -run xxx -bench BenchmarkEngine ./internal/vm | benchjson > BENCH_vm.json
+//	go test -run xxx -bench BenchmarkEngine ./internal/vm | benchjson > BENCH_vm_v2.json
 //
 // Benchmarks that appear multiple times (go test -count N) are
 // aggregated to the fastest run, the conventional noise-resistant

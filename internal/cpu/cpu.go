@@ -167,6 +167,10 @@ func (o *observer) OnAccess(space int, addr int64, size int, write bool) {
 	o.rpos = (o.rpos + 1) % len(o.recent)
 }
 
+// OnRepeat implements vm.RepeatObserver: a folded record's repeats hit
+// the L1 line its first access just touched and never reach the L2.
+func (o *observer) OnRepeat(n int, write bool) { o.l1.Repeat(n, write) }
+
 // OnAtomic implements vm.AccessObserver; CPU atomics (LDREX/STREX) are
 // priced in threadSeconds via the profile's Atomics counter.
 func (o *observer) OnAtomic(space int, addr int64, size int) {}

@@ -248,6 +248,11 @@ func (o *observer) OnAccess(space int, addr int64, size int, write bool) {
 	o.rpos = (o.rpos + 1) % len(o.recent)
 }
 
+// OnRepeat implements vm.RepeatObserver: a folded record's repeats hit
+// the L2 line its first access just touched, so they add no DRAM
+// traffic and leave the miss classifier alone.
+func (o *observer) OnRepeat(n int, write bool) { o.l2.Repeat(n, write) }
+
 // OnAtomic implements vm.AtomicObserver.
 func (o *observer) OnAtomic(space int, addr int64, size int) {
 	if space != ir.SpaceGlobal {

@@ -4,6 +4,11 @@
 // the board's DDR3L-1600 memory.
 package mem
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // CacheConfig describes one cache level.
 type CacheConfig struct {
 	SizeBytes int
@@ -44,57 +49,58 @@ const (
 // replacement. It models hit/miss behaviour only; data lives in the
 // backing arena.
 //
-// The line/set arithmetic sits on the simulator's per-access hot path,
-// so the geometry divisions are strength-reduced to shifts and masks
-// when line size and set count are both powers of two. Set counts
-// need not be: the modelled board's L2s are not (the Mali-T604 L2,
-// 48 KiB 8-way with 64 B lines, has 96 sets; the Cortex-A15 L2 has
-// 384), so they take the division path. lines is one flat ways-major
-// array to spare a level of slice indirection.
+// The line/set arithmetic sits on the simulator's per-access hot path.
+// Line sizes are powers of two, so the line number is a shift; the set
+// index is a mask and shift when the set count is a power of two too.
+// Set counts need not be: the modelled board's L2s are not (the
+// Mali-T604 L2, 48 KiB 8-way with 64 B lines, has 96 sets; the
+// Cortex-A15 L2 has 384), so they take one division per line. lines is
+// one flat ways-major array to spare a level of slice indirection.
+//
+// Way 0 of each set holds the set's most recently used line: a hit or
+// a fill swaps its line there, so a hit on that line, the common case,
+// stops the probe at the first way. The order of the other ways
+// carries no meaning: the victim is an invalid way or else the valid
+// line with the least lru, and no two lines share an lru tick.
 type Cache struct {
 	cfg       CacheConfig
 	lines     []line
 	ways      int
 	nsets     uint64
-	pow2      bool
+	pow2      bool // the set count is a power of two
 	lineShift uint
 	setMask   uint64
 	setShift  uint
 	tick      uint64
+	last      int // index in lines of the line the last Access touched (way 0 of its set)
 	stats     CacheStats
 }
 
 // NewCache builds a cache from cfg. Any set count works; see Cache for
-// which geometries take the shift path.
+// which geometries take the shift path. The line size must be a power
+// of two and Ways positive (platform.SoC.Validate checks both).
 func NewCache(cfg CacheConfig) *Cache {
+	lb := uint64(cfg.LineBytes)
+	if lb == 0 || lb&(lb-1) != 0 || cfg.Ways < 1 {
+		panic(fmt.Sprintf("mem.NewCache: unsupported geometry %+v", cfg))
+	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	if nsets < 1 {
 		nsets = 1
 	}
 	c := &Cache{
-		cfg:   cfg,
-		lines: make([]line, nsets*cfg.Ways),
-		ways:  cfg.Ways,
-		nsets: uint64(nsets),
+		cfg:       cfg,
+		lines:     make([]line, nsets*cfg.Ways),
+		ways:      cfg.Ways,
+		nsets:     uint64(nsets),
+		lineShift: uint(bits.TrailingZeros64(lb)),
 	}
-	lb := uint64(cfg.LineBytes)
-	if lb > 0 && lb&(lb-1) == 0 && c.nsets&(c.nsets-1) == 0 {
+	if c.nsets&(c.nsets-1) == 0 {
 		c.pow2 = true
-		c.lineShift = uint(trailingZeros(lb))
 		c.setMask = c.nsets - 1
-		c.setShift = uint(trailingZeros(c.nsets))
+		c.setShift = uint(bits.TrailingZeros64(c.nsets))
 	}
 	return c
-}
-
-// trailingZeros returns the number of trailing zero bits of v (v > 0).
-func trailingZeros(v uint64) int {
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Config returns the cache geometry.
@@ -109,7 +115,7 @@ func (c *Cache) Reset() {
 		c.lines[i] = line{}
 	}
 	c.stats = CacheStats{}
-	c.tick = 0
+	c.tick, c.last = 0, 0
 }
 
 // Access touches the byte range [addr, addr+size). It returns the
@@ -119,15 +125,8 @@ func (c *Cache) Access(addr uint64, size int, write bool) (misses, writebacks in
 	if size <= 0 {
 		size = 1
 	}
-	var first, last uint64
-	if c.pow2 {
-		first = addr >> c.lineShift
-		last = (addr + uint64(size) - 1) >> c.lineShift
-	} else {
-		lb := uint64(c.cfg.LineBytes)
-		first = addr / lb
-		last = (addr + uint64(size) - 1) / lb
-	}
+	first := addr >> c.lineShift
+	last := (addr + uint64(size) - 1) >> c.lineShift
 	// Probe and fill are fused into one pass so the set/tag arithmetic
 	// and the ways subslice are computed once per line touched.
 	for ln := first; ln <= last; ln++ {
@@ -138,19 +137,22 @@ func (c *Cache) Access(addr uint64, size int, write bool) (misses, writebacks in
 			si = ln & c.setMask
 			tag = ln >> c.setShift
 		} else {
-			si = ln % c.nsets
 			tag = ln / c.nsets
+			si = ln - tag*c.nsets
 		}
 		base := int(si) * c.ways
 		set := c.lines[base : base+c.ways]
+		c.last = base
 		want := tag | lineValid
 		hit := false
 		for i := range set {
 			if set[i].tv&^lineDirty == want {
-				set[i].lru = c.tick
+				l := set[i]
+				l.lru = c.tick
 				if write {
-					set[i].tv |= lineDirty
+					l.tv |= lineDirty
 				}
+				set[i], set[0] = set[0], l
 				hit = true
 				break
 			}
@@ -179,7 +181,23 @@ func (c *Cache) Access(addr uint64, size int, write bool) (misses, writebacks in
 		if write {
 			tv |= lineDirty
 		}
-		set[victim] = line{tv: tv, lru: c.tick}
+		set[victim], set[0] = set[0], line{tv: tv, lru: c.tick}
 	}
 	return misses, writebacks
+}
+
+// Repeat counts n more accesses to the line the last Access touched,
+// with the state and statistics of n separate Access calls: the line
+// is its set's most recently used, so each repeat hits, moves no other
+// line and at most sets the dirty bit. It serves a folded trace record
+// (vm.RepeatObserver), whose repeats lie in that line by construction.
+func (c *Cache) Repeat(n int, write bool) {
+	c.tick += uint64(n)
+	c.stats.Accesses += uint64(n)
+	c.stats.Hits += uint64(n)
+	l := &c.lines[c.last]
+	l.lru = c.tick
+	if write {
+		l.tv |= lineDirty
+	}
 }

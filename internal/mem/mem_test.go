@@ -293,11 +293,50 @@ func (c *refCache) access(addr uint64, size int, write bool) (misses, writebacks
 	return misses, writebacks
 }
 
+// lockstep drives a Cache and the reference model with the same
+// operations and fails on the first divergence.
+type lockstep struct {
+	t    *testing.T
+	c    *Cache
+	ref  *refCache
+	last uint64 // address of the last access, which Repeat re-touches
+	op   int
+}
+
+func (l *lockstep) access(addr uint64, size int, write bool) {
+	l.t.Helper()
+	l.op++
+	m, wb := l.c.Access(addr, size, write)
+	rm, rwb := l.ref.access(addr, size, write)
+	if m != rm || wb != rwb {
+		l.t.Fatalf("op %d (access addr %d size %d write %v): misses/writebacks %d/%d, reference %d/%d",
+			l.op, addr, size, write, m, wb, rm, rwb)
+	}
+	l.last = addr
+}
+
+// repeat is Cache.Repeat against n one-byte reference accesses to the
+// last access's line: what a folded trace record replays.
+func (l *lockstep) repeat(n int, write bool) {
+	l.t.Helper()
+	l.op++
+	l.c.Repeat(n, write)
+	for i := 0; i < n; i++ {
+		l.ref.access(l.last, 1, write)
+	}
+	if got := l.c.Stats(); got != l.ref.stats {
+		l.t.Fatalf("op %d (repeat %d write %v): stats %+v, reference %+v", l.op, n, write, got, l.ref.stats)
+	}
+}
+
 // TestCacheMatchesReferenceLRU pins the modelled board's real L2
 // geometries — 96 sets (Mali-T604) and 384 sets (Cortex-A15), neither
 // a power of two — plus a power-of-two one against the naive LRU
-// model over a seeded random stream: every access's misses and
-// writebacks, and the final statistics, must match exactly.
+// model over seeded random streams: every access's misses and
+// writebacks, and the final statistics, must match exactly. The
+// second stream mixes in Repeat after accesses that stay within one
+// line, so later misses also pin the eviction order Repeat leaves;
+// scripted cases follow.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -335,6 +374,83 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			}
 			if got := c.Stats(); got != ref.stats {
 				t.Fatalf("stats %+v, reference %+v", got, ref.stats)
+			}
+
+			l := &lockstep{t: t, c: c, ref: ref}
+			lb := uint64(tc.cfg.LineBytes)
+			for i := 0; i < 100000; i++ {
+				addr := uint64(rnd.Int63n(span))
+				size := 1 + rnd.Intn(64)
+				l.access(addr, size, rnd.Intn(3) == 0)
+				if addr/lb != (addr+uint64(size)-1)/lb || rnd.Intn(2) == 0 {
+					continue // Repeat serves only single-line accesses
+				}
+				n := 1 + rnd.Intn(8)
+				if rnd.Intn(100) == 0 {
+					n = 1 + rnd.Intn(1000)
+				}
+				l.repeat(n, rnd.Intn(3) == 0)
+			}
+		})
+	}
+
+	// Scripts pin Repeat in the cases a random stream hits only by
+	// chance, on the Mali-T604 L2 geometry (96 sets, 8 ways); the
+	// trailing misses check the eviction order and dirty state Repeat
+	// left behind.
+	cfg := CacheConfig{SizeBytes: 48 << 10, LineBytes: 64, Ways: 8}
+	const stride = 96 * 64 // same set, next tag
+	for _, tc := range []struct {
+		name   string
+		script func(l *lockstep)
+	}{
+		{"after-dirty-eviction", func(l *lockstep) {
+			for k := uint64(0); k < 8; k++ {
+				l.access(k*stride, 8, true)
+			}
+			l.access(8*stride+4, 8, false) // misses, evicting dirty line 0
+			if l.c.Stats().Writebacks != 1 {
+				l.t.Fatalf("setup: writebacks %d, want 1", l.c.Stats().Writebacks)
+			}
+			l.repeat(5, false)
+			for k := uint64(9); k < 17; k++ {
+				l.access(k*stride, 4, false) // evicts lines 1..7, then line 8
+			}
+		}},
+		{"write-on-clean-line", func(l *lockstep) {
+			l.access(3*64, 4, false)
+			l.repeat(3, true)
+			for k := uint64(1); k <= 8; k++ {
+				l.access(3*64+k*stride, 4, false) // the last evicts line 3: a writeback
+			}
+			if l.c.Stats().Writebacks != 1 {
+				l.t.Fatalf("writebacks %d, want 1", l.c.Stats().Writebacks)
+			}
+		}},
+		{"read-on-dirty-line", func(l *lockstep) {
+			l.access(5*64, 4, true)
+			l.access(5*64+stride, 4, false)
+			l.access(5*64+8, 4, false) // hit on the dirty line
+			l.repeat(2, false)
+			for k := uint64(2); k <= 8; k++ {
+				l.access(5*64+k*stride, 4, false)
+			}
+		}},
+		{"hit-moves-to-mru", func(l *lockstep) {
+			for k := uint64(0); k < 8; k++ {
+				l.access(k*stride, 4, false)
+			}
+			l.access(0, 4, false) // hit on the set's LRU line
+			l.repeat(1000, false)
+			l.access(8*stride, 4, false) // must evict line 1, not line 0
+			l.access(0, 4, false)
+		}},
+	} {
+		t.Run("mali-t604-l2-"+tc.name, func(t *testing.T) {
+			l := &lockstep{t: t, c: NewCache(cfg), ref: newRefCache(cfg)}
+			tc.script(l)
+			if got := l.c.Stats(); got != l.ref.stats {
+				t.Fatalf("stats %+v, reference %+v", got, l.ref.stats)
 			}
 		})
 	}

@@ -275,10 +275,16 @@ func (s *SoC) AtNamed(cpuPoint, gpuPoint string) (*SoC, error) {
 	return s.At(cpuOP, gpuOP), nil
 }
 
+// minLineBytes is the smallest cache line the timing models accept: a
+// memory trace folds consecutive accesses within one 64-byte block
+// into a single record (internal/vm), which holds only if each such
+// block lies within one line.
+const minLineBytes = 64
+
 // Validate checks the structural invariants every registered SoC must
-// hold: named, complete, positive clocks and core counts, and a DVFS
-// ladder whose head is the nominal point the calibration numbers were
-// taken at.
+// hold: named, complete, positive clocks and core counts, cache
+// geometries the cache model can run, and a DVFS ladder whose head is
+// the nominal point the calibration numbers were taken at.
 func (s *SoC) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("soc has no name")
@@ -291,6 +297,25 @@ func (s *SoC) Validate() error {
 	}
 	if s.DRAM.Bandwidth <= 0 {
 		return fmt.Errorf("soc %s: non-positive DRAM bandwidth", s.Name)
+	}
+	for _, c := range []struct {
+		name             string
+		size, line, ways int
+	}{
+		{s.CPU.Name + " L1", s.CPU.L1Size, s.CPU.L1Line, s.CPU.L1Ways},
+		{s.CPU.Name + " L2", s.CPU.L2Size, s.CPU.L2Line, s.CPU.L2Ways},
+		{s.GPU.Name + " L2", s.GPU.L2Size, s.GPU.L2Line, s.GPU.L2Ways},
+	} {
+		switch {
+		case c.line < minLineBytes || c.line&(c.line-1) != 0:
+			return fmt.Errorf("soc %s: %s line size %d is not a power of two of at least %d bytes",
+				s.Name, c.name, c.line, minLineBytes)
+		case c.ways < 1:
+			return fmt.Errorf("soc %s: %s has %d ways", s.Name, c.name, c.ways)
+		case c.size <= 0 || c.size%(c.line*c.ways) != 0:
+			return fmt.Errorf("soc %s: %s size %d is not a positive multiple of line x ways (%d)",
+				s.Name, c.name, c.size, c.line*c.ways)
+		}
 	}
 	if err := validateDVFS(s.CPU.Name, s.CPU.FreqHz, s.CPU.DVFS); err != nil {
 		return fmt.Errorf("soc %s: %w", s.Name, err)

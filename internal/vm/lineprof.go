@@ -49,7 +49,7 @@ func (p *LineProfiler) ObserveGroup(group [3]int, tr *Trace) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i, n := 0, tr.Len(); i < n; i++ {
+	for i, n := 0, tr.records(); i < n; i++ {
 		rec := tr.at(i)
 		if rec.kind == recCtx {
 			continue

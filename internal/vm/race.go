@@ -134,7 +134,7 @@ func (d *RaceDetector) ObserveGroup(group [3]int, tr *Trace) {
 
 	shadow := make(map[int64]*byteShadow)
 	item, phase := -1, 0
-	n := tr.Len()
+	n := tr.records()
 	for i := 0; i < n; i++ {
 		rec := tr.at(i)
 		switch rec.kind {

@@ -1,16 +1,34 @@
 package vm
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
-// traceRec is one recorded memory event. Records are 16 bytes so a
-// work-group's trace stays compact even for memory-heavy kernels.
+// traceRec is one recorded memory event, or in a non-detail trace a
+// run of consecutive same-line reads or writes folded into one record:
+// rep counts the accesses after the first, and [addr, addr+size) is
+// the union of their byte ranges, which lies within one 64-byte block
+// (foldShift). Records are 16 bytes, rep included, so a work-group's
+// trace stays compact even for memory-heavy kernels.
 type traceRec struct {
 	addr  int64
 	size  uint16
 	line  uint16 // source line of the access (detail mode, else 0)
 	space uint8
 	kind  uint8
+	rep   uint16 // accesses folded into this record after the first
 }
+
+// foldShift sets the 64-byte block consecutive accesses must share to
+// fold into one record. Cache lines are a power of two of at least
+// that size (platform.SoC.Validate), so a folded record touches
+// exactly the one line each of its accesses touched.
+const foldShift = 6
+
+// noBlock is no block number: tagged addresses shifted by foldShift
+// never reach it.
+const noBlock = math.MinInt64
 
 // Record kinds.
 const (
@@ -86,16 +104,29 @@ func putChunk(c *chunk) {
 // its chunks to Replay while the group is still recording, so the
 // timing model can run alongside the VM instead of after it.
 //
+// Outside detail mode a read or write that has the same space and kind
+// as the previous record of the current chunk, lies with it in one
+// 64-byte block and overlaps or abuts its byte range folds into it
+// (see traceRec). Replay delivers a folded record as its first access
+// plus a bulk repeat (RepeatObserver), which a cache model serves as
+// hits on the line just touched. Because the widened range stays
+// contiguous, the footprint a TraceStore derives is byte-exact.
+//
 // In detail mode (EnableDetail) the trace additionally records which
 // work-item and barrier phase produced each access and the source line
 // of the access, which is what the dynamic race detector consumes.
-// Detail traces never stream: race observers scan a complete group.
+// Detail traces keep one record per access and never stream: race
+// observers scan a complete group.
 type Trace struct {
 	cur   *chunk   // chunk being filled
 	n     int      // records in cur
 	full  []*chunk // filled chunks not yet handed to a streaming Replay
 	nfull int      // chunks filled since NewTrace
 	off   int      // first record of cur (non-zero once a TraceStore packs the tail)
+	folds int      // accesses folded into an earlier record
+	// open is the block (addr>>foldShift) of the last record while a
+	// later access may fold into it, else noBlock.
+	open int64
 
 	// retain keeps the chunks through Replay and Release, so a
 	// TraceStore can replay the trace again later.
@@ -125,7 +156,7 @@ var tracePool = sync.Pool{New: func() any { return &Trace{ready: make(chan struc
 // NewTrace returns an empty trace (possibly recycled).
 func NewTrace() *Trace {
 	t := tracePool.Get().(*Trace)
-	t.cur, t.n, t.nfull, t.off = getChunk(), 0, 0, 0
+	t.cur, t.n, t.nfull, t.off, t.folds, t.open = getChunk(), 0, 0, 0, 0, noBlock
 	t.detail, t.retain = false, false
 	t.line = 0
 	t.announce, t.streaming, t.finished = nil, false, false
@@ -289,19 +320,43 @@ func (t *Trace) OnAccess(space int, addr int64, size int, write bool) {
 	if write {
 		kind = recWrite
 	}
+	blk, end := addr>>foldShift, addr+int64(size)
+	inBlock := (end-1)>>foldShift == blk
+	if blk == t.open && inBlock {
+		p := &t.cur[t.n-1]
+		lo, hi := p.addr, p.addr+int64(p.size)
+		if p.kind == kind && p.space == uint8(space) && addr <= hi && end >= lo && p.rep < math.MaxUint16 {
+			p.addr = min(lo, addr)
+			p.size = uint16(max(hi, end) - p.addr)
+			p.rep++
+			t.folds++
+			return
+		}
+	}
+	t.open = noBlock
+	if inBlock && !t.detail {
+		t.open = blk
+	}
 	t.add(traceRec{addr: addr, size: uint16(size), line: t.line, space: uint8(space), kind: kind})
 }
 
 // OnAtomic implements AccessObserver.
 func (t *Trace) OnAtomic(space int, addr int64, size int) {
+	t.open = noBlock
 	t.add(traceRec{addr: addr, size: uint16(size), line: t.line, space: uint8(space), kind: recAtomic})
 }
 
-// Len returns the number of recorded events. On a streaming trace it
-// is final once Replay has returned.
-func (t *Trace) Len() int { return t.nfull*chunkRecs + t.n - t.off }
+// Len returns the number of recorded events, folded accesses
+// included: as many as Replay delivers to an observer that is not a
+// RepeatObserver. On a streaming trace it is final once Replay has
+// returned.
+func (t *Trace) Len() int { return t.records() + t.folds }
 
-// at returns record i of a trace that is not streaming.
+// records returns the number of records. It equals Len in detail mode,
+// which never folds.
+func (t *Trace) records() int { return t.nfull*chunkRecs + t.n - t.off }
+
+// at returns record i (i < records()) of a trace that is not streaming.
 func (t *Trace) at(i int) *traceRec {
 	if c := i / chunkRecs; c < len(t.full) {
 		return &t.full[c][i%chunkRecs]
@@ -311,7 +366,10 @@ func (t *Trace) at(i int) *traceRec {
 
 // Replay feeds the recorded events into o in recording order. Context
 // records from detail mode are skipped, so replaying into a cache
-// model is unaffected by race checking.
+// model is unaffected by race checking. A folded record reaches o as
+// one OnAccess with the widened range followed by OnRepeat when o is a
+// RepeatObserver, or by one more identical OnAccess per folded access
+// when it is not.
 //
 // On a streaming trace Replay runs concurrently with the recording:
 // it delivers chunks as they fill, recycles them, and returns once the
@@ -369,7 +427,10 @@ func (t *Trace) drain(o AccessObserver) {
 	}
 }
 
+// replayRecs delivers recs to o: each record's access once, then its
+// folded repeats in bulk (or one by one if o is no RepeatObserver).
 func replayRecs(o AccessObserver, recs []traceRec) {
+	ro, bulk := o.(RepeatObserver)
 	for i := range recs {
 		r := &recs[i]
 		switch r.kind {
@@ -378,7 +439,18 @@ func replayRecs(o AccessObserver, recs []traceRec) {
 		case recAtomic:
 			o.OnAtomic(int(r.space), r.addr, int(r.size))
 		default:
-			o.OnAccess(int(r.space), r.addr, int(r.size), r.kind == recWrite)
+			write := r.kind == recWrite
+			o.OnAccess(int(r.space), r.addr, int(r.size), write)
+			if r.rep == 0 {
+				continue
+			}
+			if bulk {
+				ro.OnRepeat(int(r.rep), write)
+				continue
+			}
+			for range r.rep {
+				o.OnAccess(int(r.space), r.addr, int(r.size), write)
+			}
 		}
 	}
 }

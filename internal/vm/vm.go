@@ -52,6 +52,18 @@ type AccessObserver interface {
 	OnAtomic(space int, addr int64, size int)
 }
 
+// RepeatObserver is an optional extension of AccessObserver. A trace
+// folds consecutive same-line reads or writes into one record; Replay
+// delivers such a record as one OnAccess with the union of the
+// accesses' byte ranges, then OnRepeat with the number of further
+// accesses. Each of them touched only the cache line that OnAccess
+// just touched, so a cache model counts them as hits on that line
+// (mem.Cache.Repeat). Replay calls OnAccess again instead for an
+// observer that does not implement it.
+type RepeatObserver interface {
+	OnRepeat(n int, write bool)
+}
+
 // ContextObserver is an optional extension of AccessObserver. When the
 // configured observer implements it and ContextActive returns true,
 // the VM calls OnContext immediately before every OnAccess/OnAtomic
@@ -333,13 +345,6 @@ func (r *groupRunner) resetState(st *wiState) {
 	for i := range st.priv {
 		st.priv[i] = 0
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func alignUp(n, a int) int { return (n + a - 1) / a * a }
