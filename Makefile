@@ -36,10 +36,12 @@ race-device:
 	$(GO) test -race -count=3 ./internal/device
 
 # A launch-memo hit replays retained trace chunks while other contexts
-# record and evict against the shared budget: run the memo tests
-# repeatedly under the race detector on every verify.
+# record and evict against the shared budget, and a queue's enqueues
+# switch between running inline and on the context scheduler: run the
+# memo and command-queue tests repeatedly under the race detector on
+# every verify.
 race-cl:
-	$(GO) test -race -count=3 -run Memo ./internal/cl
+	$(GO) test -race -count=3 -run 'Memo|Queue|Async|Close|Pool' ./internal/cl
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
@@ -89,13 +91,12 @@ figures:
 	$(GO) run ./cmd/figures
 
 # Observability smoke test: run one small benchmark with trace +
-# metrics export and validate the JSON with tracecheck.
+# metrics export and validate the JSON with tracecheck. Scheduled
+# (multi-queue) traces are covered by trace-golden.
 trace-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/malisim -bench vecop -scale 0.05 -trace "$$tmp/trace.json" -metrics-out "$$tmp/metrics.json" >/dev/null && \
-	$(GO) run ./cmd/tracecheck -metrics "$$tmp/metrics.json" "$$tmp/trace.json" && \
-	$(GO) run ./cmd/malisim -bench vecop -scale 0.05 -async -trace "$$tmp/trace_async.json" >/dev/null && \
-	$(GO) run ./cmd/tracecheck "$$tmp/trace_async.json"
+	$(GO) run ./cmd/tracecheck -metrics "$$tmp/metrics.json" "$$tmp/trace.json"
 
 # Serving-layer smoke test: drive an in-process malid daemon with the
 # nine-benchmark mix over real HTTP under the race detector. The

@@ -206,8 +206,10 @@ func EngineFromEnvStrict() (Engine, error) { return vm.EngineFromEnvStrict() }
 
 // NewContext creates a standalone context from the same functional
 // options NewPlatform takes (WithDevices, WithArenaBytes,
-// WithWorkers, WithEngine, WithAsyncQueues; meter options are
-// ignored) for callers that don't want a full Platform.
+// WithWorkers, WithEngine; meter options are ignored) for callers
+// that don't want a full Platform. Its queues need no option for the
+// event model: Async enqueues, wait-lists, user events and
+// out-of-order queues are always available.
 func NewContext(opts ...Option) *Context {
 	var c config
 	for _, opt := range opts {
@@ -217,7 +219,6 @@ func NewContext(opts ...Option) *Context {
 		cl.WithArenaBytes(c.opts.ArenaBytes),
 		cl.WithWorkers(c.opts.Workers),
 		cl.WithEngine(c.opts.Engine),
-		cl.WithAsyncQueues(c.opts.AsyncQueues),
 	}
 	if len(c.devices) > 0 {
 		clOpts = append(clOpts, cl.WithDevices(c.devices...))

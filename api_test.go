@@ -133,7 +133,6 @@ func TestPlatformOptions(t *testing.T) {
 		maligo.WithDevices(p.Mali()),
 		maligo.WithArenaBytes(1<<20),
 		maligo.WithWorkers(1),
-		maligo.WithAsyncQueues(true),
 	)
 	defer ctx.Close()
 	if got := ctx.ArenaBytes(); got != 1<<20 {

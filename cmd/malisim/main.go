@@ -6,7 +6,7 @@
 // Usage:
 //
 //	malisim -bench dmmm [-version opt] [-prec single] [-scale 1.0] [-workers N]
-//	        [-device exynos5422] [-engine interp|compiled] [-async]
+//	        [-device exynos5422] [-engine interp|compiled]
 //	        [-trace out.json] [-metrics] [-metrics-out m.json] [-hotlines N]
 //
 // -device selects a registered device model (malisim -list names
@@ -48,7 +48,6 @@ func main() {
 		workers = flag.Int("workers", 0, "engine worker goroutines (0 = all host CPUs, 1 = serial engine)")
 		engine  = flag.String("engine", "", "VM execution engine: interp (reference interpreter) or compiled (closure fast path, default); also settable via MALIGO_ENGINE")
 		devName = flag.String("device", "", "board model: "+strings.Join(maligo.DeviceNames(), ", ")+" (default "+maligo.DefaultDeviceName+")")
-		async   = flag.Bool("async", false, "run enqueues through the DAG command scheduler (asynchronous queues); all simulated observables are bit-identical")
 		list    = flag.Bool("list", false, "list benchmarks and device models and exit")
 		lint    = flag.Bool("lint", false, "run the kernel static analyzer over the benchmark's source (all benchmarks when -bench is empty) and exit")
 
@@ -121,7 +120,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.ProfileLines = *hotlines > 0
 	cfg.Engine = eng
-	cfg.AsyncQueues = *async
 	cfg.SoC = soc
 	res, err := maligo.RunExperiments(cfg)
 	if err != nil {

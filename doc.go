@@ -31,9 +31,8 @@
 // NewPlatform and NewContext share one functional-option vocabulary:
 // WithArenaBytes sizes the unified memory, WithWorkers sets the
 // parallel NDRange engine's host worker count, WithEngine selects the
-// VM engine, WithAsyncQueues enables the DAG scheduler, WithDevices
-// picks a standalone context's devices, and WithMeterHz/WithMeterSeed
-// configure the simulated power meter.
+// VM engine, WithDevices picks a standalone context's devices, and
+// WithMeterHz/WithMeterSeed configure the simulated power meter.
 //
 // # The parallel execution engine
 //
@@ -83,17 +82,19 @@
 //
 // # Asynchronous queues
 //
-// WithAsyncQueues(true) (on a platform or a standalone context)
-// routes every enqueue through a per-context DAG scheduler
-// that implements the OpenCL 1.1 event model: the Enqueue*Async
-// variants take event wait-lists and return pending Events
-// immediately, queues come in in-order and out-of-order flavours
-// (CreateCommandQueueWith + QueueOutOfOrderExec), and user events,
-// markers and barriers (CreateUserEvent, EnqueueMarkerWithWaitList,
-// EnqueueBarrierWithWaitList) order commands within and across
-// queues. Two benchmarks overlapped on separate queues:
+// Every context implements the OpenCL 1.1 event model on a
+// per-context DAG scheduler, with no option to enable it: the
+// Enqueue*Async variants take event wait-lists and return pending
+// Events immediately, queues come in in-order and out-of-order
+// flavours (CreateCommandQueueWith + QueueOutOfOrderExec), and user
+// events, markers and barriers (CreateUserEvent,
+// EnqueueMarkerWithWaitList, EnqueueBarrierWithWaitList) order
+// commands within and across queues. A synchronous Enqueue* on an
+// in-order queue with nothing scheduled pending runs inline on the
+// caller; behind a pending command it waits its turn in the
+// scheduler. Two benchmarks overlapped on separate queues:
 //
-//	p := maligo.NewPlatform(maligo.WithAsyncQueues(true))
+//	p := maligo.NewPlatform()
 //	defer p.Close()
 //	q1 := p.Context.CreateCommandQueueWith(p.Mali(), maligo.QueueOutOfOrderExec)
 //	q2 := p.Context.CreateCommandQueueWith(p.Mali(), maligo.QueueOutOfOrderExec)
@@ -110,9 +111,9 @@
 //
 // Scheduling is deterministic: the profiling timestamps are a pure
 // function of the dependency DAG and the timing model, never of host
-// goroutine interleaving, so in-order chains stay bit-identical to
-// the synchronous queue and out-of-order overlap windows reproduce
-// exactly on every host and worker count. Misuse surfaces as typed
+// goroutine interleaving, so scheduled in-order chains stay
+// bit-identical to inline ones and out-of-order overlap windows
+// reproduce exactly on every host and worker count. Misuse surfaces as typed
 // errors (ErrEventCycle, ErrDoubleWait, ErrOrphanEvent,
 // ErrForeignEvent, ErrNotUserEvent, ErrEventComplete,
 // ErrEventDepFailed), and Queue.FinishCtx detects stalls behind

@@ -3,6 +3,7 @@ package bench_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"maligo/internal/bench"
 	"maligo/internal/cl"
@@ -18,8 +19,9 @@ const benchArenaBytes = 64 << 20
 
 // runBenchQueues runs every supported version of one benchmark at one
 // precision on a fresh context and returns the per-version queues
-// (holding their event histories) and the context.
-func runBenchQueues(t *testing.T, name string, prec bench.Precision, engine vm.Engine, async bool) (map[bench.Version]*cl.CommandQueue, *cl.Context) {
+// (holding their event histories) and the context. lead, when non-nil,
+// enqueues a command on each version's queue ahead of the benchmark.
+func runBenchQueues(t *testing.T, name string, prec bench.Precision, engine vm.Engine, lead func(*cl.Context, *cl.CommandQueue)) (map[bench.Version]*cl.CommandQueue, *cl.Context) {
 	t.Helper()
 	b := bench.ByName(name)
 	if b == nil {
@@ -32,7 +34,6 @@ func runBenchQueues(t *testing.T, name string, prec bench.Precision, engine vm.E
 		cl.WithDevices(cpu1, cpu2, gpu),
 		cl.WithArenaBytes(benchArenaBytes),
 		cl.WithEngine(engine),
-		cl.WithAsyncQueues(async),
 	)
 	t.Cleanup(ctx.Close)
 	prog := ctx.CreateProgramWithSource(b.Source())
@@ -51,6 +52,9 @@ func runBenchQueues(t *testing.T, name string, prec bench.Precision, engine vm.E
 	for _, v := range bench.Versions() {
 		if ok, _ := b.Supported(prec, v); !ok {
 			continue
+		}
+		if lead != nil {
+			lead(ctx, queues[v])
 		}
 		if _, err := b.Run(queues[v], prog, v); err != nil {
 			t.Fatalf("%s: %v", v, err)
@@ -77,7 +81,7 @@ func TestEventProfilingMonotonic(t *testing.T) {
 			for _, name := range bench.Names() {
 				name := name
 				t.Run(name, func(t *testing.T) {
-					queues, _ := runBenchQueues(t, name, bench.F32, eng.e, false)
+					queues, _ := runBenchQueues(t, name, bench.F32, eng.e, nil)
 					checked := 0
 					for v, q := range queues {
 						prevEnd := 0.0
@@ -103,18 +107,37 @@ func TestEventProfilingMonotonic(t *testing.T) {
 	}
 }
 
-// TestAsyncBenchmarksBitIdentical runs every benchmark once on the
-// synchronous queue path and once through the DAG scheduler and
-// requires bit-identical outcomes: the same event histories (profiling
-// stamps, durations, kinds) and the same unified-memory arena bytes.
-// This is the tentpole determinism guarantee — async mode changes no
-// simulated observable, so every §V figure is unchanged.
+// TestAsyncBenchmarksBitIdentical runs every benchmark behind a marker
+// on each queue, twice: once with a plain marker, and once with a
+// marker that waits on a user event the host signals 10 ms later, so
+// the benchmark's first command is enqueued behind a pending scheduled
+// command and runs on the scheduler before the rest continue inline.
+// Both runs must agree bit for bit: the same event histories
+// (profiling stamps, durations, kinds) and the same unified-memory
+// arena bytes — which queue path a command takes changes no simulated
+// observable, so every §V figure is unchanged.
 func TestAsyncBenchmarksBitIdentical(t *testing.T) {
+	marker := func(gated bool) func(*cl.Context, *cl.CommandQueue) {
+		return func(ctx *cl.Context, q *cl.CommandQueue) {
+			var wait []*cl.Event
+			if gated {
+				gate, err := ctx.CreateUserEvent("gate")
+				if err != nil {
+					t.Fatal(err)
+				}
+				time.AfterFunc(10*time.Millisecond, func() { _ = gate.SetComplete() })
+				wait = []*cl.Event{gate}
+			}
+			if _, err := q.EnqueueMarkerWithWaitList(wait); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, name := range bench.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			syncQs, syncCtx := runBenchQueues(t, name, bench.F32, vm.EngineAuto, false)
-			asyncQs, asyncCtx := runBenchQueues(t, name, bench.F32, vm.EngineAuto, true)
+			syncQs, syncCtx := runBenchQueues(t, name, bench.F32, vm.EngineAuto, marker(false))
+			asyncQs, asyncCtx := runBenchQueues(t, name, bench.F32, vm.EngineAuto, marker(true))
 			for _, v := range bench.Versions() {
 				se := syncQs[v].Events()
 				ae := asyncQs[v].Events()

@@ -3,11 +3,14 @@ package cl
 // Asynchronous command queues: the Enqueue*Async variants accept
 // OpenCL-style event wait-lists and return immediately with a pending
 // Event; the context's DAG scheduler (internal/sched) dispatches each
-// command when its dependencies complete. Timestamps stay a pure
-// function of the dependency graph and the timing model, so an async
-// run is bit-identical to the synchronous queue for in-order chains
-// and deterministic (never host-timing-dependent) for out-of-order
-// overlap. See the sched package doc for the exact stamp formulas.
+// command when its dependencies complete. The synchronous Enqueue*
+// methods build the same commands and run them inline when their
+// in-order queue has nothing scheduled pending (enqueueSync).
+// Timestamps stay a pure function of the dependency graph and the
+// timing model, so a scheduled in-order chain is bit-identical to the
+// inline one and out-of-order overlap is deterministic (never
+// host-timing-dependent). See the sched package doc for the exact
+// stamp formulas.
 
 import (
 	"context"
@@ -15,7 +18,6 @@ import (
 	"fmt"
 
 	"maligo/internal/sched"
-	"maligo/internal/vm"
 )
 
 // CreateUserEvent mirrors clCreateUserEvent: a host-controlled event
@@ -54,58 +56,32 @@ func WaitForEvents(events ...*Event) error {
 // Kernel arguments are snapshotted at enqueue time like clEnqueue
 // does, so the host may rebind them for the next enqueue right away.
 func (q *CommandQueue) EnqueueNDRangeKernelAsync(k *Kernel, workDim int, global, local []int, waitList []*Event) (*Event, error) {
-	return q.ndrangeAsync(context.Background(), k, workDim, global, local, waitList)
-}
-
-func (q *CommandQueue) ndrangeAsync(ctx context.Context, k *Kernel, workDim int, global, local []int, waitList []*Event) (*Event, error) {
-	ndr, err := prepareNDRange(k, workDim, global, local)
+	ev, body, err := q.ndrangeCommand(k, workDim, global, local)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot the bound arguments: the host may SetArg for the next
-	// enqueue while this command is still pending.
-	ndr.Args = append([]vm.ArgValue(nil), ndr.Args...)
-	ev := &Event{Kind: "ndrange", Name: k.k.Name}
-	raceCheck, profileLines, lineProf := q.raceCheck, q.profileLines, q.lineProf
-	return q.enqueueAsync(ev, waitList, func(ctx context.Context) (float64, error) {
-		if err := q.runNDRangeBody(ctx, k, ndr, ev, raceCheck, profileLines, lineProf); err != nil {
-			return 0, err
-		}
-		return ev.Report.DispatchSeconds, nil
-	}, withBodyCtx(ctx))
+	return q.enqueueAsync(ev, waitList, body)
 }
 
 // EnqueueWriteBufferAsync copies host data into the buffer once the
 // wait-list completes. The data slice is captured, not copied — the
 // host must not mutate it before the event completes.
 func (q *CommandQueue) EnqueueWriteBufferAsync(b *Buffer, off int64, data []byte, waitList []*Event) (*Event, error) {
-	dst, err := b.Bytes(off, int64(len(data)))
+	ev, body, err := q.copyCommand("write", b, off, data)
 	if err != nil {
 		return nil, err
 	}
-	ev := &Event{Kind: "write", Seconds: float64(len(data)) / hostCopyBandwidth, Bytes: int64(len(data))}
-	return q.enqueueAsync(ev, waitList, func(context.Context) (float64, error) {
-		copy(dst, data)
-		q.ctx.metrics.Counter("cl.copy_bytes").Add(uint64(len(data)))
-		q.ctx.metrics.Histogram("cl.copy_seconds", nil).Observe(ev.Seconds)
-		return 0, nil
-	})
+	return q.enqueueAsync(ev, waitList, body)
 }
 
 // EnqueueReadBufferAsync copies buffer contents into data once the
 // wait-list completes.
 func (q *CommandQueue) EnqueueReadBufferAsync(b *Buffer, off int64, data []byte, waitList []*Event) (*Event, error) {
-	src, err := b.Bytes(off, int64(len(data)))
+	ev, body, err := q.copyCommand("read", b, off, data)
 	if err != nil {
 		return nil, err
 	}
-	ev := &Event{Kind: "read", Seconds: float64(len(data)) / hostCopyBandwidth, Bytes: int64(len(data))}
-	return q.enqueueAsync(ev, waitList, func(context.Context) (float64, error) {
-		copy(data, src)
-		q.ctx.metrics.Counter("cl.copy_bytes").Add(uint64(len(data)))
-		q.ctx.metrics.Histogram("cl.copy_seconds", nil).Observe(ev.Seconds)
-		return 0, nil
-	})
+	return q.enqueueAsync(ev, waitList, body)
 }
 
 // EnqueueMapBufferAsync returns the zero-copy view immediately (the
@@ -116,7 +92,7 @@ func (q *CommandQueue) EnqueueMapBufferAsync(b *Buffer, off, n int64, waitList [
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := q.enqueueAsync(&Event{Kind: "map", Seconds: 4e-6}, waitList, nil)
+	ev, err := q.enqueueAsync(&Event{Kind: "map", Seconds: mapSeconds}, waitList, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,6 +116,11 @@ func (q *CommandQueue) EnqueueBarrierWithWaitList(waitList []*Event) (*Event, er
 	return q.enqueueAsync(&Event{Kind: "barrier"}, waitList, nil, withImplicitAll(), withBarrier())
 }
 
+// cmdBody executes one command under ctx: it fills the command's
+// event and returns the dispatch (SUBMIT→START) window. A nil body is
+// a fixed-duration command whose event already holds its Seconds.
+type cmdBody func(ctx context.Context) (float64, error)
+
 // enqOpt tweaks one enqueueAsync call.
 type enqOpt func(*enqCfg)
 
@@ -153,14 +134,53 @@ func withBodyCtx(ctx context.Context) enqOpt { return func(c *enqCfg) { c.ctx = 
 func withImplicitAll() enqOpt                { return func(c *enqCfg) { c.implicitAll = true } }
 func withBarrier() enqOpt                    { return func(c *enqCfg) { c.barrier = true } }
 
+// enqueueSync runs one command for a synchronous Enqueue* and returns
+// its completed event. On an in-order queue whose last scheduled
+// command is nil or complete, the body runs inline on the caller under
+// enqMu, so no concurrent enqueue on this queue can overtake it, and
+// sync enqueues on different queues run in parallel. Otherwise — an
+// out-of-order queue, or a scheduled predecessor still pending — the
+// command goes through the scheduler and the caller waits for it. A
+// failed scheduled command is excised from the in-order chain, so the
+// next enqueue links to the last successful one: a failed synchronous
+// enqueue leaves no trace in history or timing, on either path.
+func (q *CommandQueue) enqueueSync(ctx context.Context, ev *Event, body cmdBody) (*Event, error) {
+	q.enqMu.Lock()
+	prevBefore := q.prev
+	if !q.OutOfOrder() && (prevBefore == nil || prevBefore.Complete()) {
+		defer q.enqMu.Unlock()
+		return q.runInline(ctx, ev, body)
+	}
+	q.enqMu.Unlock()
+	ev, err := q.enqueueAsync(ev, nil, body, withBodyCtx(ctx))
+	if err != nil {
+		return nil, err
+	}
+	if werr := ev.Wait(); werr != nil {
+		q.enqMu.Lock()
+		if q.prev == ev.se {
+			q.prev = prevBefore
+		}
+		for i, se := range q.outstanding {
+			if se == ev.se {
+				q.outstanding = append(q.outstanding[:i], q.outstanding[i+1:]...)
+				break
+			}
+		}
+		q.enqMu.Unlock()
+		return nil, werr
+	}
+	return ev, nil
+}
+
 // enqueueAsync is the common scheduled-enqueue path: it wires the
 // command's dependencies (wait-list, in-order predecessor, barrier),
 // submits it to the context scheduler, and registers the completion
 // hook that stamps and records the event. body fills ev and returns
 // the dispatch window; nil means a fixed-duration command (ev.Seconds
-// is already set). On a closed context it degrades to the synchronous
-// serial path, mirroring the pool's documented fallback.
-func (q *CommandQueue) enqueueAsync(ev *Event, waitList []*Event, body func(context.Context) (float64, error), opts ...enqOpt) (*Event, error) {
+// is already set). On a closed context it degrades to running the body
+// inline, mirroring the pool's documented serial fallback.
+func (q *CommandQueue) enqueueAsync(ev *Event, waitList []*Event, body cmdBody, opts ...enqOpt) (*Event, error) {
 	cfg := enqCfg{ctx: context.Background()}
 	for _, o := range opts {
 		o(&cfg)
@@ -210,8 +230,8 @@ func (q *CommandQueue) enqueueAsync(ev *Event, waitList []*Event, body func(cont
 		}
 	}
 	for _, w := range waitList {
-		// Events from synchronous enqueues have no scheduler state and
-		// are complete by construction — nothing to wait for.
+		// Events of inline enqueues have no scheduler state and are
+		// complete by construction — nothing to wait for.
 		if w.se != nil && seen[w.se] {
 			return nil, fmt.Errorf("event %q listed twice in wait list: %w", w.Name, sched.ErrDoubleWait)
 		}
@@ -230,9 +250,9 @@ func (q *CommandQueue) enqueueAsync(ev *Event, waitList []*Event, body func(cont
 	q.mu.Lock()
 	gen := q.gen
 	if !q.OutOfOrder() {
-		// A scheduled command may follow legacy synchronous history on
-		// this queue (async enqueues on a default queue); the chain
-		// resumes from the synchronous clock.
+		// A scheduled command may follow inline commands on this
+		// queue, which carry no scheduler event; the chain resumes
+		// from the queue clock.
 		c.MinQueued(q.clock)
 	}
 	q.mu.Unlock()
@@ -260,7 +280,7 @@ func (q *CommandQueue) enqueueAsync(ev *Event, waitList []*Event, body func(cont
 // recordAsync returns the completion hook of one scheduled command: it
 // copies the DAG-derived stamps into the event and appends it to the
 // queue history. Failed commands are not recorded — exactly like the
-// synchronous path, which returns an error instead of an event — and
+// inline path, which returns an error instead of an event — and
 // completions from before a ResetEvents (stale gen) are dropped.
 func (q *CommandQueue) recordAsync(ev *Event, gen uint64) func(*sched.Event) {
 	return func(se *sched.Event) {
@@ -287,10 +307,10 @@ func (q *CommandQueue) recordAsync(ev *Event, gen uint64) func(*sched.Event) {
 	}
 }
 
-// runInline executes a command body synchronously and records it with
-// the legacy clock — the deterministic serial fallback for enqueues
-// that race context Close.
-func (q *CommandQueue) runInline(ctx context.Context, ev *Event, body func(context.Context) (float64, error)) (*Event, error) {
+// runInline executes a command body on the caller and records it
+// with the queue clock: the synchronous fast path, and the serial
+// fallback for enqueues that race context Close.
+func (q *CommandQueue) runInline(ctx context.Context, ev *Event, body cmdBody) (*Event, error) {
 	var dispatch float64
 	if body != nil {
 		var err error
@@ -299,34 +319,4 @@ func (q *CommandQueue) runInline(ctx context.Context, ev *Event, body func(conte
 		}
 	}
 	return q.record(ev, dispatch), nil
-}
-
-// syncViaAsync adapts an async enqueue to the synchronous contract:
-// enqueue, wait, and on failure excise the command from the in-order
-// chain so the next enqueue links to the last successful command —
-// the behaviour the synchronous queue has always had (a failed
-// enqueue leaves no trace in history or timing).
-func (q *CommandQueue) syncViaAsync(enqueue func() (*Event, error)) (*Event, error) {
-	q.enqMu.Lock()
-	prevBefore := q.prev
-	q.enqMu.Unlock()
-	ev, err := enqueue()
-	if err != nil {
-		return nil, err
-	}
-	if werr := ev.Wait(); werr != nil {
-		q.enqMu.Lock()
-		if q.prev == ev.se {
-			q.prev = prevBefore
-		}
-		for i, se := range q.outstanding {
-			if se == ev.se {
-				q.outstanding = append(q.outstanding[:i], q.outstanding[i+1:]...)
-				break
-			}
-		}
-		q.enqMu.Unlock()
-		return nil, werr
-	}
-	return ev, nil
 }

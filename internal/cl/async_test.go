@@ -17,12 +17,12 @@ import (
 	"maligo/internal/obs"
 )
 
-// newAsyncCtx creates a context whose queues route through the DAG
-// command scheduler, plus its GPU device.
+// newAsyncCtx creates a two-worker context for the queue tests, plus
+// its GPU device.
 func newAsyncCtx(t *testing.T) (*cl.Context, *mali.GPU) {
 	t.Helper()
 	gpu := mali.New()
-	ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithWorkers(2), cl.WithAsyncQueues(true))
+	ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithWorkers(2))
 	t.Cleanup(ctx.Close)
 	return ctx, gpu
 }
@@ -75,8 +75,8 @@ func TestQueueConformance(t *testing.T) {
 			ctx, gpu := newAsyncCtx(t)
 			buf, _ := ctx.CreateBuffer(cl.MemReadWrite, 1<<20, nil)
 			q := ctx.CreateCommandQueue(gpu)
-			if !q.Scheduled() || q.OutOfOrder() {
-				t.Fatalf("want scheduled in-order queue, got scheduled=%v ooo=%v", q.Scheduled(), q.OutOfOrder())
+			if q.OutOfOrder() {
+				t.Fatal("CreateCommandQueue returned an out-of-order queue")
 			}
 			a, err := q.EnqueueWriteBufferAsync(buf, 0, make([]byte, 1<<20), nil)
 			if err != nil {
@@ -513,13 +513,16 @@ func TestQueueConformance(t *testing.T) {
 }
 
 // runSequence executes the fixed write/ndrange/map/unmap/read command
-// sequence of runObserved through the synchronous API on a context
-// with or without the async scheduler, returning the queue and the
-// final buffer contents.
+// sequence of runObserved on a default queue, returning the queue and
+// the final buffer contents. With async false every command goes
+// through the synchronous API and runs inline; with async true the
+// write, ndrange, map and read use the Async variants (the scheduled
+// path, chained by the in-order queue) and the unmap, which has no
+// Async variant, follows the pending map synchronously.
 func runSequence(t *testing.T, async bool) (*cl.CommandQueue, []byte) {
 	t.Helper()
 	gpu := mali.New()
-	ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithWorkers(2), cl.WithAsyncQueues(async))
+	ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithWorkers(2))
 	t.Cleanup(ctx.Close)
 	prog := ctx.CreateProgramWithSource(testKernel)
 	if err := prog.Build(""); err != nil {
@@ -539,34 +542,57 @@ func runSequence(t *testing.T, async bool) (*cl.CommandQueue, []byte) {
 	k.SetArgFloat(1, 3.0)
 	k.SetArgInt(2, n)
 	q := ctx.CreateCommandQueue(gpu)
-	if _, err := q.EnqueueWriteBuffer(buf, 0, host); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.EnqueueNDRangeKernel(k, 1, []int{n}, []int{64}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := q.EnqueueMapBuffer(buf, 0, n*4); err != nil {
-		t.Fatal(err)
-	}
-	q.EnqueueUnmapMemObject(buf)
 	out := make([]byte, n*4)
-	if _, err := q.EnqueueReadBuffer(buf, 0, out); err != nil {
-		t.Fatal(err)
+	must := func(_ any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := q.Finish(); err != nil {
-		t.Fatal(err)
+	if !async {
+		must(q.EnqueueWriteBuffer(buf, 0, host))
+		must(q.EnqueueNDRangeKernel(k, 1, []int{n}, []int{64}))
+		_, _, err := q.EnqueueMapBuffer(buf, 0, n*4)
+		must(nil, err)
+		q.EnqueueUnmapMemObject(buf)
+		must(q.EnqueueReadBuffer(buf, 0, out))
+	} else {
+		w, err := q.EnqueueWriteBufferAsync(buf, 0, host, nil)
+		must(w, err)
+		nd, err := q.EnqueueNDRangeKernelAsync(k, 1, []int{n}, []int{64}, nil)
+		must(nd, err)
+		_, m, err := q.EnqueueMapBufferAsync(buf, 0, n*4, nil)
+		must(m, err)
+		u := q.EnqueueUnmapMemObject(buf)
+		if u == nil {
+			t.Fatal("unmap after a pending map returned no event")
+		}
+		rd, err := q.EnqueueReadBufferAsync(buf, 0, out, nil)
+		must(rd, err)
+		must(nil, cl.WaitForEvents(w, nd, m, u, rd))
 	}
+	must(nil, q.Finish())
 	return q, out
 }
 
-// TestAsyncMatchesSyncBitIdentical checks the scheduler reproduces the
-// legacy synchronous queue exactly: same event history, same profiling
-// stamps, same memory bytes. HostSeconds is excluded — it is host
-// wall-clock, documented as nondeterministic.
+// TestAsyncMatchesSyncBitIdentical checks the Async API plus Wait (the
+// scheduled path) reproduces the synchronous API (the inline path)
+// exactly: same event history, same profiling stamps, same memory
+// bytes. HostSeconds is excluded — it is host wall-clock, documented
+// as nondeterministic.
 func TestAsyncMatchesSyncBitIdentical(t *testing.T) {
 	qs, outS := runSequence(t, false)
 	qa, outA := runSequence(t, true)
-	se, ae := qs.Events(), qa.Events()
+	sameEvents(t, qs.Events(), qa.Events())
+	if string(outS) != string(outA) {
+		t.Error("buffer contents differ between sync and async runs")
+	}
+}
+
+// sameEvents requires two event histories to agree in every simulated
+// observable: identity, profiling stamps, bytes and device reports.
+func sameEvents(t *testing.T, se, ae []*cl.Event) {
+	t.Helper()
 	if len(se) != len(ae) {
 		t.Fatalf("event counts differ: sync %d async %d", len(se), len(ae))
 	}
@@ -592,8 +618,160 @@ func TestAsyncMatchesSyncBitIdentical(t *testing.T) {
 			t.Errorf("event %d device report differs:\nsync  %+v\nasync %+v", i, *s.Report, *a.Report)
 		}
 	}
-	if string(outS) != string(outA) {
-		t.Error("buffer contents differ between sync and async runs")
+}
+
+// TestSyncEnqueueFollowsPendingAsync is the regression test for sync
+// enqueues overtaking a pending Async one on a default queue. Each of
+// a sync read, write and NDRange follows an EnqueueNDRangeKernelAsync
+// that waits on a user event the host signals a little later: the sync
+// command must see the kernel's memory effects and be QUEUED at the
+// kernel's END. The run opens with a sync upload on the idle queue,
+// which runs inline, so the first kernel must resume from the queue
+// clock. The whole run must match the same sequence issued through
+// the synchronous API alone — events and arena bytes.
+func TestSyncEnqueueFollowsPendingAsync(t *testing.T) {
+	run := func(mixed bool) ([]*cl.Event, []byte) {
+		ctx, gpu := newAsyncCtx(t)
+		const n = 256
+		k, buf := scaleKernel(t, ctx, n) // x[i] = i, scaled by 2 per launch
+		q := ctx.CreateCommandQueue(gpu)
+		// kernel launches the scale kernel ahead of one sync command
+		// and returns its event, complete once the command returns.
+		kernel := func() *cl.Event {
+			if !mixed {
+				ev, err := q.EnqueueNDRangeKernel(k, 1, []int{n}, []int{64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ev
+			}
+			gate, err := ctx.CreateUserEvent("gate")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := q.EnqueueNDRangeKernelAsync(k, 1, []int{n}, []int{64}, []*cl.Event{gate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.AfterFunc(10*time.Millisecond, func() { _ = gate.SetComplete() })
+			return ev
+		}
+		follows := func(what string, pred, ev *cl.Event) {
+			t.Helper()
+			if err := pred.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Queued != pred.Ended {
+				t.Errorf("mixed=%v: %s QUEUED %g, want the kernel's END %g", mixed, what, ev.Queued, pred.Ended)
+			}
+		}
+		elem := func(i int) float32 {
+			raw, _ := buf.Bytes(int64(i*4), 4)
+			return math.Float32frombits(binary.LittleEndian.Uint32(raw))
+		}
+
+		raw, _ := buf.Bytes(0, n*4)
+		if _, err := q.EnqueueWriteBuffer(buf, 0, append([]byte(nil), raw...)); err != nil {
+			t.Fatal(err)
+		}
+		nd := kernel()
+		out := make([]byte, n*4)
+		rd, err := q.EnqueueReadBuffer(buf, 0, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		follows("read", nd, rd)
+		if got := math.Float32frombits(binary.LittleEndian.Uint32(out[4*9:])); got != 18 {
+			t.Errorf("mixed=%v: read saw element 9 = %g, want the kernel's 18", mixed, got)
+		}
+
+		nd = kernel()
+		seven := binary.LittleEndian.AppendUint32(nil, math.Float32bits(7))
+		wr, err := q.EnqueueWriteBuffer(buf, 0, seven)
+		if err != nil {
+			t.Fatal(err)
+		}
+		follows("write", nd, wr)
+		if got := elem(0); got != 7 {
+			t.Errorf("mixed=%v: element 0 = %g after the write, want 7", mixed, got)
+		}
+
+		nd = kernel()
+		nd2, err := q.EnqueueNDRangeKernel(k, 1, []int{n}, []int{64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		follows("ndrange", nd, nd2)
+		if got0, got9 := elem(0), elem(9); got0 != 28 || got9 != 9*16 {
+			t.Errorf("mixed=%v: elements 0, 9 = %g, %g, want 28, 144", mixed, got0, got9)
+		}
+		if err := q.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return q.Events(), ctx.Arena().Snapshot()
+	}
+	syncEvents, syncArena := run(false)
+	mixedEvents, mixedArena := run(true)
+	sameEvents(t, syncEvents, mixedEvents)
+	if !bytes.Equal(syncArena, mixedArena) {
+		t.Error("arena bytes differ between the sync and the mixed runs")
+	}
+}
+
+// TestQueueConcurrentMixedEnqueues drives one in-order queue from
+// several goroutines at once, each mixing sync and Async launches, so
+// inline and scheduled commands interleave on it. Whatever the
+// interleaving, the history must be one chain that tiles the queue
+// clock, and every launch must reach memory exactly once.
+func TestQueueConcurrentMixedEnqueues(t *testing.T) {
+	const goroutines, launches, n = 4, 6, 256
+	ctx, gpu := newAsyncCtx(t)
+	k, buf := scaleKernel(t, ctx, n) // x[i] = i, scaled by 2 per launch
+	q := ctx.CreateCommandQueue(gpu)
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			for i := 0; i < launches; i++ {
+				var err error
+				if (g+i)%2 == 0 {
+					_, err = q.EnqueueNDRangeKernel(k, 1, []int{n}, []int{64})
+				} else {
+					_, err = q.EnqueueNDRangeKernelAsync(k, 1, []int{n}, []int{64}, nil)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	evs := q.Events()
+	if len(evs) != goroutines*launches {
+		t.Fatalf("history holds %d events, want %d", len(evs), goroutines*launches)
+	}
+	end := 0.0
+	for i, ev := range evs {
+		if ev.Seq != i || ev.Queued != end || ev.Submitted != ev.Queued {
+			t.Errorf("event %d: seq %d QUEUED %g SUBMIT %g, want QUEUED = previous END %g",
+				i, ev.Seq, ev.Queued, ev.Submitted, end)
+		}
+		end = ev.Ended
+	}
+	raw, _ := buf.Bytes(0, n*4)
+	scale := float32(1 << (goroutines * launches))
+	for i := 0; i < n; i++ {
+		if got, want := math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:])), float32(i)*scale; got != want {
+			t.Fatalf("element %d = %g, want %g", i, got, want)
+		}
 	}
 }
 
@@ -676,7 +854,7 @@ func TestFinishCtxUnwindsWithoutGoroutineLeaks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
 		gpu := mali.New()
-		ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithWorkers(2), cl.WithAsyncQueues(true))
+		ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithWorkers(2))
 		defer ctx.Close()
 		buf, err := ctx.CreateBuffer(cl.MemReadWrite, 1<<16, nil)
 		if err != nil {
@@ -719,25 +897,27 @@ func TestFinishCtxUnwindsWithoutGoroutineLeaks(t *testing.T) {
 
 // TestFinishClosedContextError is the regression test for the old
 // silent no-op: Finish (and Flush) on a queue whose context has been
-// closed must report ErrContextClosed, not pretend success.
+// closed must report ErrContextClosed, not pretend success — on an
+// in-order queue (whose write runs inline) and on an out-of-order one
+// (whose write is scheduled).
 func TestFinishClosedContextError(t *testing.T) {
-	for _, async := range []bool{false, true} {
+	for _, props := range []cl.QueueProps{0, cl.QueueOutOfOrderExec} {
 		gpu := mali.New()
-		ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithAsyncQueues(async))
-		q := ctx.CreateCommandQueue(gpu)
+		ctx := cl.NewContextWith(cl.WithDevices(gpu))
+		q := ctx.CreateCommandQueueWith(gpu, props)
 		buf, _ := ctx.CreateBuffer(cl.MemReadWrite, 64, nil)
 		if _, err := q.EnqueueWriteBuffer(buf, 0, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := q.Finish(); err != nil {
-			t.Fatalf("async=%v: Finish on live context = %v", async, err)
+			t.Fatalf("props=%d: Finish on live context = %v", props, err)
 		}
 		ctx.Close()
 		if err := q.Finish(); !errors.Is(err, cl.ErrContextClosed) {
-			t.Errorf("async=%v: Finish on closed context = %v, want ErrContextClosed", async, err)
+			t.Errorf("props=%d: Finish on closed context = %v, want ErrContextClosed", props, err)
 		}
 		if err := q.Flush(); !errors.Is(err, cl.ErrContextClosed) {
-			t.Errorf("async=%v: Flush on closed context = %v, want ErrContextClosed", async, err)
+			t.Errorf("props=%d: Flush on closed context = %v, want ErrContextClosed", props, err)
 		}
 	}
 }

@@ -90,12 +90,10 @@ type Context struct {
 	poolMu   sync.Mutex
 	pool     *device.Pool
 	external bool             // pool is shared (WithPool); Close must not stop its workers
-	sched    *sched.Scheduler // lazy; serves every async queue of the context
+	sched    *sched.Scheduler // lazy; serves every queue of the context
 	closed   bool
-	closeCh  chan struct{}  // closed by Close; cancels in-flight async bodies
+	closeCh  chan struct{}  // closed by Close; cancels in-flight scheduled bodies
 	inflight sync.WaitGroup // enqueues currently holding the pool
-
-	asyncQueues bool // CreateCommandQueue returns scheduler-backed queues
 
 	queueSeq atomic.Int64
 
@@ -114,12 +112,11 @@ const DefaultArenaBytes = 512 << 20
 type ContextOption func(*contextConfig)
 
 type contextConfig struct {
-	devices     []device.Device
-	arenaBytes  int64
-	workers     int
-	engine      vm.Engine
-	asyncQueues bool
-	pool        *device.Pool
+	devices    []device.Device
+	arenaBytes int64
+	workers    int
+	engine     vm.Engine
+	pool       *device.Pool
 }
 
 // WithDevices sets the context's devices.
@@ -161,16 +158,6 @@ func WithPool(p *device.Pool) ContextOption {
 	return func(cfg *contextConfig) { cfg.pool = p }
 }
 
-// WithAsyncQueues makes CreateCommandQueue return scheduler-backed
-// in-order queues: enqueues flow through the context's DAG scheduler
-// and the synchronous Enqueue* methods become enqueue-then-wait.
-// Events, timestamps and results stay bit-identical to the legacy
-// synchronous queue; what changes is that the Async enqueue variants
-// and wait-lists become available without opting in per queue.
-func WithAsyncQueues(on bool) ContextOption {
-	return func(cfg *contextConfig) { cfg.asyncQueues = on }
-}
-
 // NewContextWith creates a context from functional options.
 func NewContextWith(opts ...ContextOption) *Context {
 	cfg := contextConfig{arenaBytes: DefaultArenaBytes, workers: runtime.NumCPU()}
@@ -187,14 +174,13 @@ func NewContextWith(opts ...ContextOption) *Context {
 		cfg.engine = vm.EngineFromEnv()
 	}
 	c := &Context{
-		arena:       mem.NewArena(cfg.arenaBytes),
-		devices:     cfg.devices,
-		workers:     cfg.workers,
-		engine:      cfg.engine,
-		metrics:     obs.NewRegistry(),
-		memo:        newLaunchMemo(),
-		asyncQueues: cfg.asyncQueues,
-		closeCh:     make(chan struct{}),
+		arena:   mem.NewArena(cfg.arenaBytes),
+		devices: cfg.devices,
+		workers: cfg.workers,
+		engine:  cfg.engine,
+		metrics: obs.NewRegistry(),
+		memo:    newLaunchMemo(),
+		closeCh: make(chan struct{}),
 	}
 	c.arena.OnReset(func() {
 		if c.memo != nil {
@@ -331,9 +317,10 @@ func (c *Context) acquirePool() (*device.Pool, func()) {
 }
 
 // scheduler lazily creates the context's DAG scheduler — one per
-// context, shared by every async queue so cross-queue wait-lists work.
-// Command bodies are dispatched onto the device worker pool when the
-// context has one. Returns nil once the context is closed.
+// context, shared by every queue so cross-queue wait-lists work.
+// Command bodies run on its executor goroutine and shard their
+// work-groups across the context's worker pool. Returns nil once the
+// context is closed.
 func (c *Context) scheduler() *sched.Scheduler {
 	c.poolMu.Lock()
 	defer c.poolMu.Unlock()
@@ -341,25 +328,12 @@ func (c *Context) scheduler() *sched.Scheduler {
 		return nil
 	}
 	if c.sched == nil {
-		c.sched = sched.New(sched.WithExec(c.execBody))
+		c.sched = sched.New()
 	}
 	return c.sched
 }
 
-// execBody runs one async command body, on a pool worker when the
-// context is parallel. The body itself may shard work-groups across
-// the same pool (see device.Pool.Run for why that nesting is safe).
-func (c *Context) execBody(f func()) {
-	pool, release := c.acquirePool()
-	defer release()
-	if pool != nil {
-		pool.Run(f)
-	} else {
-		f()
-	}
-}
-
-// bodyCtx derives the context an async command body runs under: the
+// bodyCtx derives the context a scheduled command body runs under: the
 // caller's parent cancellation is honoured, and Context.Close cancels
 // it with cause ErrContextClosed — the device layer checks the body
 // context between work-groups, so an in-flight NDRange fails with a
@@ -379,7 +353,7 @@ func (c *Context) bodyCtx(parent context.Context) (context.Context, func()) {
 	return ctx, func() { close(done) }
 }
 
-// Close shuts down the context's async scheduler (the running command
+// Close shuts down the context's scheduler (the running command
 // completes, every other pending command fails with a typed error),
 // drops its memoized launches and releases the worker pool. It first
 // marks the context closed (so no new enqueue can acquire the pool),
@@ -395,10 +369,11 @@ func (c *Context) Close() {
 	c.closed = true // no new scheduler, no new pool acquisitions
 	c.poolMu.Unlock()
 	if first {
-		// Cancel every in-flight async command body: the device layer
-		// checks the body context between work-groups, so a long
+		// Cancel every in-flight scheduled command body: the device
+		// layer checks the body context between work-groups, so a long
 		// NDRange aborts within one group instead of stalling the
 		// scheduler drain below. The job fails with ErrContextClosed.
+		// Inline synchronous enqueues run to completion.
 		close(c.closeCh)
 	}
 	if s != nil {
@@ -711,11 +686,11 @@ type Event struct {
 	// SetRaceCheck(true); nil otherwise.
 	RaceCheck *RaceCheckResult
 
-	// se links async events to their scheduler state; nil for events
-	// from the legacy synchronous path, which are complete on return.
-	// The exported fields above are filled at completion time — read
-	// them only after Wait/Complete (the synchronous Enqueue* methods
-	// do that for you).
+	// se links scheduled events to their scheduler state; nil for
+	// events of inline enqueues, which are complete on return. The
+	// exported fields above are filled at completion time — read them
+	// only after Wait/Complete (the synchronous Enqueue* methods do
+	// that for you).
 	se *sched.Event
 }
 
@@ -817,22 +792,19 @@ const (
 	QueueOutOfOrderExec QueueProps = 1 << iota
 )
 
-// CommandQueue is a command queue bound to one device. The default
-// queue executes synchronously and in-order, keeping a simulated
-// clock (seconds since creation) that orders its events into a
-// timeline for profiling and trace export. Queues created with
-// CreateCommandQueueWith (or on a WithAsyncQueues context) route
-// enqueues through the context's DAG scheduler instead: the Async
-// enqueue variants return pending events, wait-lists order commands
-// across queues, and the synchronous Enqueue* methods become
-// enqueue-then-wait — with timestamps that stay bit-identical to the
-// synchronous queue for in-order chains.
+// CommandQueue is a command queue bound to one device, keeping a
+// simulated clock (seconds since creation) that orders its events into
+// a timeline for profiling and trace export. A synchronous Enqueue* on
+// an in-order queue with no scheduled command pending executes inline
+// on the caller; every other enqueue — the Async variants, and any
+// enqueue on an out-of-order queue or behind a pending command — goes
+// through the context's DAG scheduler, whose wait-lists order commands
+// across queues. Both paths stamp an in-order chain bit-identically.
 type CommandQueue struct {
 	ctx          *Context
 	dev          device.Device
 	id           int
 	props        QueueProps
-	scheduled    bool // enqueues flow through ctx.scheduler()
 	raceCheck    bool
 	profileLines bool
 	lineProf     *vm.LineProfiler
@@ -852,10 +824,10 @@ type CommandQueue struct {
 	// queues; in-order queues are gated by prev already).
 	barrier *sched.Event
 
-	// mu guards the completion-side state below. The legacy
-	// synchronous path is single-goroutine, but async completions land
-	// from the scheduler's executor. Lock order: enqMu before mu;
-	// never the reverse.
+	// mu guards the completion-side state below: inline enqueues
+	// record under enqMu, scheduled completions land from the
+	// scheduler's executor. Lock order: enqMu before mu; never the
+	// reverse.
 	mu     sync.Mutex
 	events []*Event
 	clock  float64
@@ -886,23 +858,17 @@ func (q *CommandQueue) SetLineProfile(on bool) {
 // SetLineProfile was never enabled.
 func (q *CommandQueue) LineProfile() *vm.LineProfiler { return q.lineProf }
 
-// CreateCommandQueue mirrors clCreateCommandQueue: an in-order queue,
-// synchronous unless the context was created WithAsyncQueues.
+// CreateCommandQueue mirrors clCreateCommandQueue: an in-order queue.
 func (c *Context) CreateCommandQueue(dev device.Device) *CommandQueue {
-	q := &CommandQueue{ctx: c, dev: dev, id: int(c.queueSeq.Add(1)) - 1}
-	q.scheduled = c.asyncQueues
-	return q
+	return c.CreateCommandQueueWith(dev, 0)
 }
 
-// CreateCommandQueueWith creates a scheduler-backed queue with the
-// given properties — in-order by default, out-of-order with
-// QueueOutOfOrderExec. Multiple queues on one context share the
-// context scheduler, so wait-lists may cross queues.
+// CreateCommandQueueWith creates a queue with the given properties —
+// in-order by default, out-of-order with QueueOutOfOrderExec. Queues
+// on one context share the context scheduler, so wait-lists may cross
+// queues.
 func (c *Context) CreateCommandQueueWith(dev device.Device, props QueueProps) *CommandQueue {
-	q := c.CreateCommandQueue(dev)
-	q.props = props
-	q.scheduled = true
-	return q
+	return &CommandQueue{ctx: c, dev: dev, id: int(c.queueSeq.Add(1)) - 1, props: props}
 }
 
 // Properties returns the queue's creation properties.
@@ -911,17 +877,12 @@ func (q *CommandQueue) Properties() QueueProps { return q.props }
 // OutOfOrder reports whether the queue executes out of order.
 func (q *CommandQueue) OutOfOrder() bool { return q.props&QueueOutOfOrderExec != 0 }
 
-// Scheduled reports whether enqueues flow through the context's DAG
-// scheduler (true for CreateCommandQueueWith queues and every queue
-// of a WithAsyncQueues context).
-func (q *CommandQueue) Scheduled() bool { return q.scheduled }
-
 // Device returns the queue's device.
 func (q *CommandQueue) Device() device.Device { return q.dev }
 
-// Events returns all recorded events in order. On a scheduled queue
-// the history holds completed commands only — call Finish first for a
-// settled view.
+// Events returns all recorded events in order. The history holds
+// completed commands only — after Async enqueues, call Finish first
+// for a settled view.
 func (q *CommandQueue) Events() []*Event {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -930,9 +891,9 @@ func (q *CommandQueue) Events() []*Event {
 
 // ResetEvents clears the recorded history and rewinds the queue clock
 // to zero (between measurement regions), so a measured timeline
-// always starts at t=0 regardless of warm-up runs. On a scheduled
-// queue it first drains outstanding commands (ignoring their errors,
-// like the history does). The hot-line profile, if enabled, restarts
+// always starts at t=0 regardless of warm-up runs. It first drains
+// outstanding scheduled commands (ignoring their errors, like the
+// history does). The hot-line profile, if enabled, restarts
 // too.
 func (q *CommandQueue) ResetEvents() {
 	_ = q.drain(context.Background())
@@ -1007,10 +968,10 @@ func (q *CommandQueue) record(ev *Event, dispatch float64) *Event {
 // Timeline exports the queue's event history as timeline spans for
 // trace writers, one track (lane) per queue. Span times are the
 // simulated profiling timestamps, so the export is deterministic.
-// Spans start at SUBMIT (equal to QUEUED on in-order queues, so
-// legacy traces are unchanged) and are sorted by start time within
-// the track — on an out-of-order queue the history is in completion
-// order, but trace viewers and tracecheck want monotone lanes.
+// Spans start at SUBMIT (equal to QUEUED on in-order queues) and are
+// sorted by start time within the track — on an out-of-order queue the
+// history is in completion order, but trace viewers and tracecheck
+// want monotone lanes.
 func (q *CommandQueue) Timeline() []obs.Span {
 	q.mu.Lock()
 	events := append([]*Event(nil), q.events...)
@@ -1090,8 +1051,8 @@ func (t *memTarget) AtomicRMW(space int, off int64, size int, op vm.AtomicOp) (u
 
 // EnqueueNDRangeKernel launches the kernel. local may be nil to let
 // the driver pick (the paper's §III-A warns this is often slow on the
-// Mali driver). Execution is synchronous in the simulator; the
-// returned event carries the timing report.
+// Mali driver). It returns once the kernel has executed; the returned
+// event carries the timing report.
 func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, workDim int, global, local []int) (*Event, error) {
 	return q.EnqueueNDRangeKernelCtx(context.Background(), k, workDim, global, local)
 }
@@ -1100,36 +1061,28 @@ func (q *CommandQueue) EnqueueNDRangeKernel(k *Kernel, workDim int, global, loca
 // ctx aborts a long simulation between work-groups. Work-groups are
 // sharded across the context's worker pool when it has more than one
 // worker; the simulated report is bit-identical to serial execution
-// either way. On a scheduled queue this is enqueue-then-wait through
-// the DAG scheduler — still bit-identical.
+// either way.
 func (q *CommandQueue) EnqueueNDRangeKernelCtx(ctx context.Context, k *Kernel, workDim int, global, local []int) (*Event, error) {
-	if q.scheduled {
-		return q.syncViaAsync(func() (*Event, error) {
-			return q.ndrangeAsync(ctx, k, workDim, global, local, nil)
-		})
-	}
-	ndr, err := prepareNDRange(k, workDim, global, local)
+	ev, body, err := q.ndrangeCommand(k, workDim, global, local)
 	if err != nil {
 		return nil, err
 	}
-	ev := &Event{Kind: "ndrange", Name: k.k.Name}
-	if err := q.runNDRangeBody(ctx, k, ndr, ev, q.raceCheck, q.profileLines, q.lineProf); err != nil {
-		return nil, err
-	}
-	return q.record(ev, ev.Report.DispatchSeconds), nil
+	return q.enqueueSync(ctx, ev, body)
 }
 
-// prepareNDRange validates the kernel's bound arguments and builds the
-// NDRange — the synchronous part of an NDRange enqueue, shared by the
-// immediate and scheduled paths so both reject bad launches at enqueue
-// time with the same errors.
-func prepareNDRange(k *Kernel, workDim int, global, local []int) (*device.NDRange, error) {
+// ndrangeCommand validates the kernel's bound arguments and builds the
+// NDRange enqueue's event and body — the one NDRange command shared by
+// the synchronous and Async enqueues, so both reject bad launches at
+// enqueue time with the same errors. The arguments and the
+// race/profiling settings are snapshotted here: the host may SetArg or
+// toggle the queue for its next enqueue while this one is pending.
+func (q *CommandQueue) ndrangeCommand(k *Kernel, workDim int, global, local []int) (*Event, cmdBody, error) {
 	for i, ok := range k.set {
 		if !ok {
-			return nil, fmt.Errorf("arg %d of kernel %s not set: %w", i, k.k.Name, ErrInvalidKernelArgs)
+			return nil, nil, fmt.Errorf("arg %d of kernel %s not set: %w", i, k.k.Name, ErrInvalidKernelArgs)
 		}
 	}
-	ndr := &device.NDRange{Kernel: k.k, WorkDim: workDim, Args: k.args}
+	ndr := &device.NDRange{Kernel: k.k, WorkDim: workDim, Args: append([]vm.ArgValue(nil), k.args...)}
 	for d := 0; d < workDim && d < 3; d++ {
 		if d < len(global) {
 			ndr.Global[d] = global[d]
@@ -1138,15 +1091,19 @@ func prepareNDRange(k *Kernel, workDim int, global, local []int) (*device.NDRang
 			ndr.Local[d] = local[d]
 		}
 	}
-	return ndr, nil
+	ev := &Event{Kind: "ndrange", Name: k.k.Name}
+	raceCheck, profileLines, lineProf := q.raceCheck, q.profileLines, q.lineProf
+	return ev, func(ctx context.Context) (float64, error) {
+		if err := q.runNDRangeBody(ctx, k, ndr, ev, raceCheck, profileLines, lineProf); err != nil {
+			return 0, err
+		}
+		return ev.Report.DispatchSeconds, nil
+	}, nil
 }
 
 // runNDRangeBody executes the prepared NDRange and fills ev with the
 // report, duration and race-check results. It does not stamp or record
-// the event — the immediate path calls record, the scheduled path lets
-// the DAG scheduler derive the stamps. The race/profiling flags are
-// passed in (captured at enqueue time) so an async body never races
-// with the host toggling the queue's settings.
+// the event; the enqueue path does.
 func (q *CommandQueue) runNDRangeBody(ctx context.Context, k *Kernel, ndr *device.NDRange, ev *Event, raceCheck, profileLines bool, lineProf *vm.LineProfiler) error {
 	target := &memTarget{arena: q.ctx.arena, constant: k.prog.prog.ConstantData, mu: &q.ctx.atomicsMu}
 	pool, release := q.ctx.acquirePool()
@@ -1162,16 +1119,8 @@ func (q *CommandQueue) runNDRangeBody(ctx context.Context, k *Kernel, ndr *devic
 		observers = append(observers, lineProf)
 	}
 	rc.Race = device.FanObservers(observers...)
-	var rep *device.Report
-	var err error
 	hostStart := time.Now() // maligo:allow walltime HostSeconds is documented host-side profiling, never simulated state
-	if cr, ok := q.dev.(device.ContextRunner); ok {
-		rep, err = q.runMemoized(cr, rc, k, ndr, target)
-	} else {
-		// Legacy devices without RunWith cannot trace; the race check
-		// degrades to the static tier only.
-		rep, err = q.dev.Run(ndr, target)
-	}
+	rep, err := q.runMemoized(rc, k, ndr, target)
 	if err != nil {
 		return err
 	}
@@ -1201,73 +1150,65 @@ func (q *CommandQueue) runNDRangeBody(ctx context.Context, k *Kernel, ndr *devic
 // (bytes/s) — the cost the paper's memory-mapping optimization avoids.
 const hostCopyBandwidth = 2.6e9
 
+// mapSeconds is the fixed driver cost of a map or unmap command.
+const mapSeconds = 4e-6
+
+// copyCommand builds a "write" (host data into the buffer) or "read"
+// (buffer into host data) copy: its event and its body, shared by the
+// synchronous and Async enqueues. The host slice is captured, not
+// copied.
+func (q *CommandQueue) copyCommand(kind string, b *Buffer, off int64, data []byte) (*Event, cmdBody, error) {
+	buf, err := b.Bytes(off, int64(len(data)))
+	if err != nil {
+		return nil, nil, err
+	}
+	dst, src := buf, data
+	if kind == "read" {
+		dst, src = data, buf
+	}
+	ev := &Event{Kind: kind, Seconds: float64(len(data)) / hostCopyBandwidth, Bytes: int64(len(data))}
+	return ev, func(context.Context) (float64, error) {
+		copy(dst, src)
+		q.ctx.metrics.Counter("cl.copy_bytes").Add(uint64(len(data)))
+		q.ctx.metrics.Histogram("cl.copy_seconds", nil).Observe(ev.Seconds)
+		return 0, nil
+	}, nil
+}
+
 // EnqueueWriteBuffer copies host data into a buffer, charging the copy
 // to the host CPU like clEnqueueWriteBuffer does.
 func (q *CommandQueue) EnqueueWriteBuffer(b *Buffer, off int64, data []byte) (*Event, error) {
-	if q.scheduled {
-		return q.syncViaAsync(func() (*Event, error) {
-			return q.EnqueueWriteBufferAsync(b, off, data, nil)
-		})
-	}
-	dst, err := b.Bytes(off, int64(len(data)))
+	ev, body, err := q.copyCommand("write", b, off, data)
 	if err != nil {
 		return nil, err
 	}
-	copy(dst, data)
-	ev := &Event{Kind: "write", Seconds: float64(len(data)) / hostCopyBandwidth, Bytes: int64(len(data))}
-	q.ctx.metrics.Counter("cl.copy_bytes").Add(uint64(len(data)))
-	q.ctx.metrics.Histogram("cl.copy_seconds", nil).Observe(ev.Seconds)
-	return q.record(ev, 0), nil
+	return q.enqueueSync(context.Background(), ev, body)
 }
 
 // EnqueueReadBuffer copies buffer contents back to host memory.
 func (q *CommandQueue) EnqueueReadBuffer(b *Buffer, off int64, data []byte) (*Event, error) {
-	if q.scheduled {
-		return q.syncViaAsync(func() (*Event, error) {
-			return q.EnqueueReadBufferAsync(b, off, data, nil)
-		})
-	}
-	src, err := b.Bytes(off, int64(len(data)))
+	ev, body, err := q.copyCommand("read", b, off, data)
 	if err != nil {
 		return nil, err
 	}
-	copy(data, src)
-	ev := &Event{Kind: "read", Seconds: float64(len(data)) / hostCopyBandwidth, Bytes: int64(len(data))}
-	q.ctx.metrics.Counter("cl.copy_bytes").Add(uint64(len(data)))
-	q.ctx.metrics.Histogram("cl.copy_seconds", nil).Observe(ev.Seconds)
-	return q.record(ev, 0), nil
+	return q.enqueueSync(context.Background(), ev, body)
 }
 
 // EnqueueMapBuffer returns a zero-copy view of the buffer — free on
 // this unified-memory platform apart from a fixed driver cost.
 func (q *CommandQueue) EnqueueMapBuffer(b *Buffer, off, n int64) ([]byte, *Event, error) {
-	if q.scheduled {
-		var view []byte
-		ev, err := q.syncViaAsync(func() (*Event, error) {
-			var e *Event
-			var err error
-			view, e, err = q.EnqueueMapBufferAsync(b, off, n, nil)
-			return e, err
-		})
-		return view, ev, err
-	}
 	view, err := b.Bytes(off, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev := &Event{Kind: "map", Seconds: 4e-6}
-	return view, q.record(ev, 0), nil
+	ev, err := q.enqueueSync(context.Background(), &Event{Kind: "map", Seconds: mapSeconds}, nil)
+	return view, ev, err
 }
 
 // EnqueueUnmapMemObject releases a mapping (fixed driver cost).
 func (q *CommandQueue) EnqueueUnmapMemObject(b *Buffer) *Event {
-	if q.scheduled {
-		ev, _ := q.syncViaAsync(func() (*Event, error) {
-			return q.enqueueAsync(&Event{Kind: "unmap", Seconds: 4e-6}, nil, nil)
-		})
-		return ev
-	}
-	return q.record(&Event{Kind: "unmap", Seconds: 4e-6}, 0)
+	ev, _ := q.enqueueSync(context.Background(), &Event{Kind: "unmap", Seconds: mapSeconds}, nil)
+	return ev
 }
 
 // Finish drains the queue, blocking until every enqueued command has

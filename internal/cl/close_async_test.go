@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"maligo/internal/cl"
+	"maligo/internal/clc"
 	"maligo/internal/device"
 	"maligo/internal/mali"
 )
@@ -37,7 +38,7 @@ __kernel void burn(__global float* x, const uint iters, const uint n) {
 // typed error and Close returns promptly.
 func TestCloseFailsInFlightAsyncJob(t *testing.T) {
 	gpu := mali.New()
-	ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithWorkers(2), cl.WithAsyncQueues(true))
+	ctx := cl.NewContextWith(cl.WithDevices(gpu), cl.WithWorkers(2))
 
 	prog := ctx.CreateProgramWithSource(burnKernel)
 	if err := prog.Build(""); err != nil {
@@ -122,8 +123,8 @@ func TestWithPoolSharedAcrossContexts(t *testing.T) {
 	}
 
 	gpu1, gpu2 := mali.New(), mali.New()
-	c1 := cl.NewContextWith(cl.WithDevices(gpu1), cl.WithPool(pool), cl.WithAsyncQueues(true))
-	c2 := cl.NewContextWith(cl.WithDevices(gpu2), cl.WithPool(pool), cl.WithAsyncQueues(true))
+	c1 := cl.NewContextWith(cl.WithDevices(gpu1), cl.WithPool(pool))
+	c2 := cl.NewContextWith(cl.WithDevices(gpu2), cl.WithPool(pool))
 	if got := c1.Workers(); got != pool.Workers() {
 		t.Fatalf("Workers() = %d, want pool's %d", got, pool.Workers())
 	}
@@ -133,10 +134,71 @@ func TestWithPoolSharedAcrossContexts(t *testing.T) {
 	run(c2, gpu2)
 	c2.Close()
 
-	// The pool itself must still be usable by its owner.
-	ran := false
-	pool.Run(func() { ran = true })
-	if !ran {
-		t.Fatal("shared pool no longer runs work after context Close")
+	// The pool itself must still run its owner's work-groups.
+	prog, err := clc.Compile("nop.cl", "__kernel void nop() {}", "")
+	if err != nil {
+		t.Fatal(err)
 	}
+	ndr := &device.NDRange{Kernel: prog.Kernel("nop"), WorkDim: 1, Global: [3]int{64, 1, 1}, Local: [3]int{16, 1, 1}}
+	groups := 0
+	err = device.RunGroups(device.RunConfig{Pool: pool}, ndr, nil, func(gw *device.GroupWork) error {
+		groups++
+		gw.Trace.Release()
+		return nil
+	})
+	if err != nil || groups != 4 {
+		t.Fatalf("RunGroups on the shared pool after context Close: %d groups, err %v", groups, err)
+	}
+}
+
+// TestSharedPoolScheduledLaunches is the regression test for the
+// shared-pool deadlock: scheduled command bodies used to hop onto a
+// pool worker and fan their work-groups out to the same pool, so eight
+// contexts sharing two workers could fill both with bodies waiting for
+// group jobs no worker was free to run. Bodies now run on their
+// scheduler's goroutine. The test fails at a deadline instead of
+// hanging, and closes nothing unless every launch finished.
+func TestSharedPoolScheduledLaunches(t *testing.T) {
+	const contexts, launches, n = 8, 4, 1024
+	pool := device.NewPool(2)
+	ctxs := make([]*cl.Context, contexts)
+	bufs := make([]*cl.Buffer, contexts)
+	done := make(chan error, contexts)
+	for i := range ctxs {
+		gpu := mali.New()
+		ctxs[i] = cl.NewContextWith(cl.WithDevices(gpu), cl.WithPool(pool))
+		var k *cl.Kernel
+		k, bufs[i] = scaleKernel(t, ctxs[i], n)
+		q := ctxs[i].CreateCommandQueueWith(gpu, 0)
+		go func() {
+			for j := 0; j < launches; j++ {
+				if _, err := q.EnqueueNDRangeKernelAsync(k, 1, []int{n}, []int{64}, nil); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- q.Finish()
+		}()
+	}
+	deadline := time.After(30 * time.Second)
+	for range ctxs {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("%d contexts sharing a %d-worker pool made no progress in 30 s", contexts, pool.Workers())
+		}
+	}
+	for i, c := range ctxs {
+		raw, _ := bufs[i].Bytes(0, n*4)
+		for e := 0; e < n; e++ {
+			if got, want := math.Float32frombits(binary.LittleEndian.Uint32(raw[e*4:])), float32(e*16); got != want {
+				t.Fatalf("context %d element %d = %g, want %g", i, e, got, want)
+			}
+		}
+		c.Close()
+	}
+	pool.Close()
 }

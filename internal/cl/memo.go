@@ -451,22 +451,22 @@ func (r *memoRecording) commit() bool {
 // counter: hits, misses (executed and recorded), or a bypass — detail
 // mode, a launch the budget cannot hold, a pointer argument outside
 // any live buffer, or a failed launch.
-func (q *CommandQueue) runMemoized(cr device.ContextRunner, rc device.RunConfig, k *Kernel, ndr *device.NDRange, target *memTarget) (*device.Report, error) {
+func (q *CommandQueue) runMemoized(rc device.RunConfig, k *Kernel, ndr *device.NDRange, target *memTarget) (*device.Report, error) {
 	m := q.ctx.memo
 	if m == nil {
-		return cr.RunWith(rc, ndr, target)
+		return q.dev.RunWith(rc, ndr, target)
 	}
 	count := func(name string) { q.ctx.metrics.Counter("cl.memo." + name).Inc() }
 	if rc.Race != nil {
 		count("bypass.detail")
-		return cr.RunWith(rc, ndr, target)
+		return q.dev.RunWith(rc, ndr, target)
 	}
 	arena := q.ctx.arena
 	device.NormalizeLocal(q.dev, ndr)
 	key, lo, hi, ok := memoKeyOf(q.dev, k, ndr, arena)
 	if !ok {
 		count("bypass.unkeyed")
-		return cr.RunWith(rc, ndr, target)
+		return q.dev.RunWith(rc, ndr, target)
 	}
 	if e := m.lookup(key, arena); e != nil {
 		defer e.unpin()
@@ -475,7 +475,7 @@ func (q *CommandQueue) runMemoized(cr device.ContextRunner, rc device.RunConfig,
 			return nil, err
 		}
 		rc.Replay = e.groups
-		rep, err := cr.RunWith(rc, ndr, target)
+		rep, err := q.dev.RunWith(rc, ndr, target)
 		if err != nil {
 			count("bypass.failed")
 			return nil, err
@@ -487,7 +487,7 @@ func (q *CommandQueue) runMemoized(cr device.ContextRunner, rc device.RunConfig,
 	if rec != nil {
 		rc.Record = rec.add
 	}
-	rep, err := cr.RunWith(rc, ndr, target)
+	rep, err := q.dev.RunWith(rc, ndr, target)
 	switch {
 	case err != nil:
 		if rec != nil {

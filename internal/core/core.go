@@ -55,10 +55,6 @@ type Options struct {
 	// closure-compiled fast path); zero honours MALIGO_ENGINE and
 	// otherwise runs the fast path.
 	Engine vm.Engine
-	// AsyncQueues routes every queue created from the platform context
-	// through the DAG command scheduler (event wait-lists, out-of-order
-	// queues). Simulated observables are bit-identical either way.
-	AsyncQueues bool
 	// SoC selects the board model the devices and the power meter are
 	// built from; nil selects the default Exynos 5250. Use
 	// platform.Lookup (maligo.LookupDevice) to resolve a fleet name.
@@ -92,7 +88,6 @@ func NewPlatformWith(o Options) *Platform {
 			cl.WithArenaBytes(o.ArenaBytes),
 			cl.WithWorkers(o.Workers),
 			cl.WithEngine(o.Engine),
-			cl.WithAsyncQueues(o.AsyncQueues),
 		),
 		Meter: power.NewMeterFor(soc, seed, o.MeterHz),
 	}

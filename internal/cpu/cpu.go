@@ -207,12 +207,7 @@ func (c *CPU) threadSeconds(p *vm.Profile, o *observer) (seconds, util float64) 
 	return seconds, util
 }
 
-// Run implements device.Device: serial, non-cancellable execution.
-func (c *CPU) Run(ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, error) {
-	return c.RunWith(device.RunConfig{}, ndr, gmem)
-}
-
-// RunWith implements device.ContextRunner. Work-groups are distributed
+// RunWith implements device.Device. Work-groups are distributed
 // round-robin over the modelled cores (OpenMP static scheduling of
 // chunked loops — each chunk is one work-item in the CPU versions of
 // the benchmarks). Groups execute functionally (in parallel on the

@@ -76,8 +76,10 @@ type Report struct {
 type Device interface {
 	// Name identifies the device (e.g. "Mali-T604").
 	Name() string
-	// Run executes the NDRange functionally and returns its report.
-	Run(ndr *NDRange, mem vm.GlobalMemory) (*Report, error)
+	// RunWith executes the NDRange functionally under rc (cancellation,
+	// worker pool, trace observers, launch record/replay) and returns
+	// its report.
+	RunWith(rc RunConfig, ndr *NDRange, mem vm.GlobalMemory) (*Report, error)
 	// DefaultLocalSize is the driver's work-group size heuristic used
 	// when the host passes a nil local size.
 	DefaultLocalSize(ndr *NDRange) [3]int

@@ -13,7 +13,7 @@ import (
 type stub struct{ maxWG int }
 
 func (s *stub) Name() string { return "stub" }
-func (s *stub) Run(ndr *device.NDRange, mem vm.GlobalMemory) (*device.Report, error) {
+func (s *stub) RunWith(rc device.RunConfig, ndr *device.NDRange, mem vm.GlobalMemory) (*device.Report, error) {
 	return &device.Report{Seconds: 1}, nil
 }
 func (s *stub) DefaultLocalSize(ndr *device.NDRange) [3]int { return [3]int{1, 1, 1} }

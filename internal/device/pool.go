@@ -49,21 +49,6 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Run executes f on a pool worker and waits for it to return. The
-// async command scheduler dispatches command bodies through this, so
-// a body's own RunGroups fan-out shares the remaining workers; that
-// nesting is deadlock-free because pools only exist with two or more
-// workers and at most one command body runs at a time. Must not race
-// with Close.
-func (p *Pool) Run(f func()) {
-	done := make(chan struct{})
-	p.jobs <- func() {
-		defer close(done)
-		f()
-	}
-	<-done
-}
-
 // Stats reports pool occupancy: jobs completed since creation and the
 // number of workers executing right now. Both are instantaneous
 // observations, meant for metrics gauges.
@@ -117,8 +102,7 @@ func (f observerFan) ObserveGroup(group [3]int, tr *vm.Trace) {
 
 // RunConfig carries the execution context of one enqueue: an optional
 // cancellation context, an optional worker pool and an optional race
-// observer. The zero value means "serial, non-cancellable, unchecked"
-// — exactly the legacy Run behaviour.
+// observer. The zero value means "serial, non-cancellable, unchecked".
 type RunConfig struct {
 	Ctx  context.Context
 	Pool *Pool
@@ -151,13 +135,6 @@ func (rc RunConfig) Context() context.Context {
 		return rc.Ctx
 	}
 	return context.Background()
-}
-
-// ContextRunner is implemented by devices that support cancellable
-// and/or pool-parallel execution. Devices that only implement Run keep
-// working: the runtime falls back to serial execution for them.
-type ContextRunner interface {
-	RunWith(rc RunConfig, ndr *NDRange, mem vm.GlobalMemory) (*Report, error)
 }
 
 // GroupWork is one functionally-executed work-group: its profile and

@@ -386,42 +386,6 @@ func TestRunGroupsConsumeErrorNoLeak(t *testing.T) {
 	}
 }
 
-// TestPoolRunNested checks Pool.Run — the scheduler's command-body
-// entry point — both alone and with a nested RunGroups fan-out
-// sharing the remaining workers, the exact shape async NDRange
-// commands produce.
-func TestPoolRunNested(t *testing.T) {
-	pool := device.NewPool(2)
-	defer pool.Close()
-
-	ran := false
-	pool.Run(func() { ran = true })
-	if !ran {
-		t.Fatal("Run did not execute the function")
-	}
-
-	// The streamed NDRange has the fan-in block in Replay on the one
-	// worker the body leaves free.
-	for _, ndr := range []*device.NDRange{idNDRange(t, 256, 16), loopNDRange(t, 256, 16)} {
-		mem := &poolMem{data: make([]byte, 256*4)}
-		var groups int
-		pool.Run(func() {
-			err := device.RunGroups(device.RunConfig{Pool: pool}, ndr, mem, func(gw *device.GroupWork) error {
-				groups++
-				replay(t, gw)
-				gw.Trace.Release()
-				return nil
-			})
-			if err != nil {
-				t.Errorf("nested RunGroups: %v", err)
-			}
-		})
-		if groups != 256/16 {
-			t.Fatalf("nested run consumed %d groups, want %d", groups, 256/16)
-		}
-	}
-}
-
 // TestPoolCloseIdempotent checks Close can be called repeatedly.
 func TestPoolCloseIdempotent(t *testing.T) {
 	p := device.NewPool(3)

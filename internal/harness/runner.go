@@ -47,11 +47,6 @@ type Config struct {
 	// fast path). The default honours MALIGO_ENGINE and otherwise runs
 	// the fast path; results are bit-identical either way.
 	Engine vm.Engine
-	// AsyncQueues routes every benchmark enqueue through the DAG
-	// command scheduler instead of the synchronous queue path. Every
-	// figure is bit-identical either way — the scheduler's timestamps
-	// are a pure function of the dependency graph.
-	AsyncQueues bool
 	// SoC selects the board model every benchmark runs on; nil is the
 	// default Exynos 5250 — the paper's platform, on which every
 	// figure band is pinned by TestPaperShape.
@@ -206,7 +201,6 @@ func runBenchmark(cfg Config, res *Results, meter *power.Meter, name string, pre
 		cl.WithDevices(cpu1, cpu2, gpu),
 		cl.WithWorkers(cfg.Workers),
 		cl.WithEngine(cfg.Engine),
-		cl.WithAsyncQueues(cfg.AsyncQueues),
 	)
 	defer ctx.Close()
 

@@ -345,12 +345,7 @@ func (g *GPU) groupCycles(k *ir.Kernel, p *vm.Profile, dramBytes uint64, nWI int
 	return wgCost{cycles: busy + overhead, arithSlots: alu, lsSlots: ls}
 }
 
-// Run implements device.Device: serial, non-cancellable execution.
-func (g *GPU) Run(ndr *device.NDRange, gmem vm.GlobalMemory) (*device.Report, error) {
-	return g.RunWith(device.RunConfig{}, ndr, gmem)
-}
-
-// RunWith implements device.ContextRunner. Work-groups execute
+// RunWith implements device.Device. Work-groups execute
 // functionally (in parallel with a pool in rc) while their recorded
 // memory traces are replayed through the stateful L2/SCU model in
 // dispatch order — so the report is bit-identical regardless of

@@ -25,11 +25,11 @@
 //	START   = SUBMIT + dispatch overhead (clamped into [0, Seconds])
 //	END     = SUBMIT + Seconds
 //
-// For a lone in-order queue this reproduces the synchronous queue's
-// stamps bit-for-bit (QUEUED == SUBMIT, commands tile the timeline);
-// across queues it yields deterministic overlap windows. User events
-// complete at simulated time zero regardless of when the host signals
-// them, so stamps never depend on host timing.
+// For a lone in-order queue this reproduces the stamps of the cl
+// runtime's inline path bit-for-bit (QUEUED == SUBMIT, commands tile
+// the timeline); across queues it yields deterministic overlap
+// windows. User events complete at simulated time zero regardless of
+// when the host signals them, so stamps never depend on host timing.
 package sched
 
 import (
@@ -269,9 +269,9 @@ func (c *Command) QueuedAfter(e *Event) *Command {
 }
 
 // MinQueued sets a floor on the command's QUEUED stamp. The cl runtime
-// uses it when a scheduled command follows legacy synchronous history
-// on the same in-order queue: the synchronous clock is where the chain
-// left off, even though no scheduler event carries that time.
+// uses it when a scheduled command follows commands its in-order queue
+// ran inline: the queue clock is where the chain left off, even though
+// no scheduler event carries that time.
 func (c *Command) MinQueued(t float64) *Command {
 	if t > c.minQueued {
 		c.minQueued = t
@@ -310,7 +310,6 @@ type Scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	exec    func(func())           // runs command bodies (e.g. on the device pool)
 	chooser func(seqs []int64) int // picks among ready commands; tests only
 	genCh   chan struct{}          // closed+replaced on every state change
 	ready   []*Command             // sorted by seq
@@ -325,20 +324,12 @@ type Scheduler struct {
 // Option configures New.
 type Option func(*Scheduler)
 
-// WithExec installs the executor hook the scheduler runs command
-// bodies through — the cl runtime passes one that dispatches onto the
-// context's device worker pool. The default runs bodies inline on the
-// executor goroutine.
-func WithExec(exec func(func())) Option {
-	return func(s *Scheduler) { s.exec = exec }
-}
-
 // WithChooser installs a scheduling-policy hook: given the sequence
 // numbers of every ready command, pick returns the index to run next.
 // Any choice yields a valid topological order; the conformance suite
 // uses this to prove order-independence. The default picks the lowest
 // sequence number, which is what keeps stateful device models
-// bit-identical to the synchronous queue.
+// bit-identical to the cl runtime's inline path.
 func WithChooser(pick func(seqs []int64) int) Option {
 	return func(s *Scheduler) { s.chooser = pick }
 }
@@ -349,9 +340,6 @@ func New(opts ...Option) *Scheduler {
 	s.cond = sync.NewCond(&s.mu)
 	for _, o := range opts {
 		o(s)
-	}
-	if s.exec == nil {
-		s.exec = func(f func()) { f() }
 	}
 	s.wg.Add(1)
 	go s.loop()
@@ -594,8 +582,8 @@ func (s *Scheduler) finishLocked(e *Event, out Outcome, err error, fired *[]*Eve
 }
 
 // loop is the executor: it picks one ready command at a time (lowest
-// sequence, unless a chooser says otherwise), runs its body through
-// the exec hook, and completes its event.
+// sequence, unless a chooser says otherwise), runs its body on this
+// goroutine, and completes its event.
 func (s *Scheduler) loop() {
 	defer s.wg.Done()
 	for {
@@ -636,7 +624,7 @@ func (s *Scheduler) loop() {
 		var out Outcome
 		var err error
 		if c.run != nil {
-			s.exec(func() { out, err = c.run() })
+			out, err = c.run()
 		}
 
 		s.mu.Lock()

@@ -51,17 +51,6 @@ func WithEngine(e Engine) Option {
 	return func(c *config) { c.opts.Engine = e }
 }
 
-// WithAsyncQueues routes every queue created from the context through
-// the DAG command scheduler, enabling event wait-lists (EnqueueAsync,
-// markers, barriers, user events) and out-of-order queues
-// (CreateCommandQueueWith + QueueOutOfOrderExec). Simulated
-// timestamps and results are bit-identical to the serial queue — the
-// schedule is a pure function of the dependency graph, never of host
-// goroutine interleaving.
-func WithAsyncQueues(on bool) Option {
-	return func(c *config) { c.opts.AsyncQueues = on }
-}
-
 // WithDevices sets a standalone context's devices (NewContext only; a
 // Platform always carries the Exynos 5250's fixed device set).
 func WithDevices(devices ...Device) Option {
