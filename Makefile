@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-sched race-device race-cl short bench bench-admission bench-malid bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
+.PHONY: build vet test race race-sched race-device race-cl race-service short bench-admission bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
 
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 30s
@@ -43,11 +43,12 @@ race-device:
 race-cl:
 	$(GO) test -race -count=3 -run 'Memo|Queue|Async|Close|Pool' ./internal/cl
 
-bench:
-	$(GO) test -run xxx -bench . -benchtime 1x .
-	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 200x -count 3 ./internal/vm \
-		| $(GO) run ./cmd/benchjson > BENCH_vm_v2.json
-	@echo "wrote BENCH_vm_v2.json (VM engine baseline; diff against the committed copy)"
+# malid admits each job on its own goroutine, chained behind its
+# tenant's previous job, and Close fails the waiting ones while the
+# running ones finish: run the shutdown, tenant and concurrency tests
+# repeatedly under the race detector on every verify.
+race-service:
+	$(GO) test -race -count=3 -run 'Close|Tenant|Concurrent|Quota' ./internal/service
 
 # Cheap benchmark smoke for CI: one iteration of the VM engine
 # benchmarks under both engines, of the streamed-group benchmark (one
@@ -55,7 +56,7 @@ bench:
 # workers), of the launch-memo benchmark (one GPU launch executed
 # and recorded against replayed) and of the cold-admission benchmark
 # (compile, analyzer gate and seeded transform pipeline), so a broken
-# bench harness fails verify rather than the next baseline refresh.
+# bench harness fails verify rather than going unnoticed.
 bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkEngine -benchtime 1x ./internal/vm >/dev/null
 	$(GO) test -run xxx -bench BenchmarkStreamedGroup -benchmem -benchtime 1x ./internal/cpu >/dev/null
@@ -106,13 +107,6 @@ trace-smoke:
 serve-smoke:
 	$(GO) run -race ./cmd/malid-load -n 360 -c 8 -tenants 3 -min-hit-rate 0.9 >/dev/null
 
-# Refresh the committed malid throughput baseline (larger stream, no
-# race detector — this one is about the numbers).
-bench-malid:
-	$(GO) run ./cmd/malid-load -n 1800 -c 16 -tenants 4 -min-hit-rate 0.9 \
-		| $(GO) run ./cmd/benchjson > BENCH_malid.json
-	@echo "wrote BENCH_malid.json (malid serving baseline; diff against the committed copy)"
-
 # Validate the committed golden multi-queue trace (two out-of-order
 # queues with cross-queue wait-lists; locked byte-exact by
 # TestTraceMultiQueueGolden).
@@ -135,4 +129,4 @@ fuzz-smoke:
 # Full verification: what CI runs. The -short race pass includes the
 # engine differential cross-section; `make test` runs the full
 # matrix (interp oracle vs compiled) plus the IR dump snapshot tests.
-verify: build lint test race race-sched race-device race-cl trace-smoke trace-golden serve-smoke bench-smoke fuzz-smoke
+verify: build lint test race race-sched race-device race-cl race-service trace-smoke trace-golden serve-smoke bench-smoke fuzz-smoke

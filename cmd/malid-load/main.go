@@ -1,9 +1,8 @@
 // Command malid-load drives a malid daemon with the nine paper
 // benchmarks as a mixed multi-tenant job stream and reports
-// go-bench-style metric lines (pipe through benchjson to commit a
-// baseline):
+// go-bench-style metric lines:
 //
-//	malid-load -n 2000 -c 16 -tenants 4 | benchjson > BENCH_malid.json
+//	malid-load -n 2000 -c 16 -tenants 4
 //
 // With no -addr it stands up an in-process daemon on a loopback
 // listener, so the full HTTP stack is exercised without a separate

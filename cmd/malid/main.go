@@ -58,7 +58,6 @@ func main() {
 		cacheN   = flag.Int("cache-entries", 128, "compiled-program LRU capacity")
 		queued   = flag.Int("max-queued", 64, "per-tenant admission queue depth")
 		conc     = flag.Int("max-concurrent", 4, "jobs running at once across all tenants")
-		batch    = flag.Int64("batch-items", 4096, "batch jobs at or below this many work-items (-1 disables)")
 		engine   = flag.String("engine", "", "VM engine: auto, interp, compiled")
 		device   = flag.String("device", "", "board model the daemon simulates (default exynos5250); unknown names refuse startup")
 		analysis = flag.String("analysis", "warn", "static-analysis admission policy: off, warn or error")
@@ -88,7 +87,6 @@ func main() {
 		MaxConcurrent:  *conc,
 		CacheEntries:   *cacheN,
 		CacheDir:       *cacheDir,
-		BatchItems:     *batch,
 		Analysis:       *analysis,
 		TenantAnalysis: tenantPolicies,
 		Optimize:       *optimize,

@@ -92,7 +92,9 @@
 // commands within and across queues. A synchronous Enqueue* on an
 // in-order queue with nothing scheduled pending runs inline on the
 // caller; behind a pending command it waits its turn in the
-// scheduler. Two benchmarks overlapped on separate queues:
+// scheduler. A failed command fails only the commands whose
+// wait-lists name it: later commands on its in-order queue still run.
+// Two benchmarks overlapped on separate queues:
 //
 //	p := maligo.NewPlatform()
 //	defer p.Close()
@@ -270,11 +272,12 @@
 // content address), kernel arguments and an NDRange — is POSTed to
 // /v1/jobs and answered with the deterministic simulated JobResult
 // (timing, event timestamps, power, energy, optional buffer dumps).
-// Tenants get independent in-order admission queues with a quota over
-// one shared device pool; programs compile once per content address
+// Every admitted job takes one path: it waits for its tenant's
+// previous job (jobs of one tenant run in submission order, under a
+// quota), takes one of a fixed number of global execution slots and
+// runs on a pooled context. Programs compile once per content address
 // into an LRU cache (optionally persisted to disk) and are shared
-// across tenants; small NDRanges batch onto one pooled context. The
-// same document runs in-process:
+// across tenants. The same document runs in-process:
 //
 //	spec := &maligo.JobSpec{
 //		Source: src, Kernel: "saxpy", Device: maligo.JobDeviceGPU,
@@ -292,7 +295,7 @@
 //
 // The serving contract is bit-identity: the daemon's response body is
 // byte-for-byte the JSON of the in-process result, regardless of
-// which tenant submitted, what ran before, or how jobs were batched —
+// which tenant submitted or what ran before —
 // the server adds routing, caching and admission control, never
 // timing. Client maps wire error codes back onto the same typed
 // errors (ErrInvalidJob, ErrTenantQuota, ErrUnknownJob,

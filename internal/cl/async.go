@@ -141,13 +141,14 @@ func withBarrier() enqOpt                    { return func(c *enqCfg) { c.barrie
 // sync enqueues on different queues run in parallel. Otherwise — an
 // out-of-order queue, or a scheduled predecessor still pending — the
 // command goes through the scheduler and the caller waits for it. A
-// failed scheduled command is excised from the in-order chain, so the
-// next enqueue links to the last successful one: a failed synchronous
-// enqueue leaves no trace in history or timing, on either path.
+// failed command, on either path, leaves no trace in history or timing:
+// the in-order edge passes on only its place in the timeline (see the
+// sched package doc), and a failed scheduled command is dropped from
+// the outstanding set, so a later marker or barrier does not wait on
+// it.
 func (q *CommandQueue) enqueueSync(ctx context.Context, ev *Event, body cmdBody) (*Event, error) {
 	q.enqMu.Lock()
-	prevBefore := q.prev
-	if !q.OutOfOrder() && (prevBefore == nil || prevBefore.Complete()) {
+	if !q.OutOfOrder() && (q.prev == nil || q.prev.Complete()) {
 		defer q.enqMu.Unlock()
 		return q.runInline(ctx, ev, body)
 	}
@@ -158,9 +159,6 @@ func (q *CommandQueue) enqueueSync(ctx context.Context, ev *Event, body cmdBody)
 	}
 	if werr := ev.Wait(); werr != nil {
 		q.enqMu.Lock()
-		if q.prev == ev.se {
-			q.prev = prevBefore
-		}
 		for i, se := range q.outstanding {
 			if se == ev.se {
 				q.outstanding = append(q.outstanding[:i], q.outstanding[i+1:]...)

@@ -373,6 +373,58 @@ func TestQueueConformance(t *testing.T) {
 				t.Error("failed command must not execute")
 			}
 		}},
+		{"InOrderFailureOrdersWithoutCascading", func(t *testing.T) {
+			// On an in-order queue a failed command does not fail the
+			// commands queued behind it: the in-order edge orders, and
+			// the successor queues where the failed command would
+			// have. A command that lists the failed event in its wait
+			// list still fails.
+			ctx, gpu := newAsyncCtx(t)
+			buf, _ := ctx.CreateBuffer(cl.MemReadWrite, 64, nil)
+			q := ctx.CreateCommandQueue(gpu)
+			a, err := q.EnqueueWriteBufferAsync(buf, 0, []byte{1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate, _ := ctx.CreateUserEvent("gate")
+			b, err := q.EnqueueWriteBufferAsync(buf, 0, []byte{2}, []*cl.Event{gate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := q.EnqueueWriteBufferAsync(buf, 1, []byte{3}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := q.EnqueueWriteBufferAsync(buf, 2, []byte{4}, []*cl.Event{b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := gate.SetError(errors.New("boom")); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Wait(); !errors.Is(err, cl.ErrEventDepFailed) {
+				t.Fatalf("b = %v, want ErrEventDepFailed", err)
+			}
+			if err := c.Wait(); err != nil {
+				t.Fatalf("c after a failed in-order predecessor = %v, want success", err)
+			}
+			if err := d.Wait(); !errors.Is(err, cl.ErrEventDepFailed) {
+				t.Errorf("d waiting on failed b = %v, want ErrEventDepFailed", err)
+			}
+			if err := q.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if c.Queued != a.Ended || c.Submitted != c.Queued {
+				t.Errorf("c queued/submitted %g/%g, want a's END %g", c.Queued, c.Submitted, a.Ended)
+			}
+			if evs := q.Events(); len(evs) != 2 || evs[0] != a || evs[1] != c {
+				t.Errorf("history = %d events, want [a c]", len(evs))
+			}
+			raw, _ := buf.Bytes(0, 3)
+			if raw[0] != 1 || raw[1] != 3 || raw[2] != 0 {
+				t.Errorf("memory % x, want 01 03 00 (failed commands must not execute)", raw)
+			}
+		}},
 		{"FinishDetectsOrphanStall", func(t *testing.T) {
 			// Finishing a queue stuck behind a never-signalled user
 			// event reports the stall instead of hanging.
@@ -715,6 +767,41 @@ func TestSyncEnqueueFollowsPendingAsync(t *testing.T) {
 	sameEvents(t, syncEvents, mixedEvents)
 	if !bytes.Equal(syncArena, mixedArena) {
 		t.Error("arena bytes differ between the sync and the mixed runs")
+	}
+}
+
+// TestAsyncAfterFailedAsyncLaunch checks a failed Async command does
+// not poison its in-order queue: after an NDRange whose local size
+// does not divide the global size fails on its event, a sync read and
+// then an Async read on the same queue both succeed.
+func TestAsyncAfterFailedAsyncLaunch(t *testing.T) {
+	ctx, gpu := newAsyncCtx(t)
+	const n = 256
+	k, buf := scaleKernel(t, ctx, n)
+	q := ctx.CreateCommandQueue(gpu)
+	nd, err := q.EnqueueNDRangeKernelAsync(k, 1, []int{n}, []int{7}, nil)
+	if err != nil {
+		t.Fatalf("enqueue: %v (want the failure on the event)", err)
+	}
+	if err := nd.Wait(); err == nil {
+		t.Fatal("NDRange with local 7 on global 256 succeeded")
+	}
+	out := make([]byte, n*4)
+	if _, err := q.EnqueueReadBuffer(buf, 0, out); err != nil {
+		t.Fatalf("sync read after the failed launch: %v", err)
+	}
+	rd, err := q.EnqueueReadBufferAsync(buf, 0, out, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rd.Wait(); err != nil {
+		t.Fatalf("Async read after the failed launch: %v", err)
+	}
+	if err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if evs := q.Events(); len(evs) != 2 || evs[1] != rd || rd.Queued < evs[0].Ended {
+		t.Errorf("history = %d events, want [sync read, async read] tiling the queue clock", len(evs))
 	}
 }
 

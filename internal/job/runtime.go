@@ -158,39 +158,11 @@ func (r *Runtime) Run(spec *Spec) (*Result, error) {
 // memoizes its closure-compiled form behind an atomic, so concurrent
 // use is safe).
 func (r *Runtime) RunCompiled(spec *Spec, prog *ir.Program) (*Result, error) {
-	c := r.checkout()
-	defer r.checkin(c)
-	return r.runOn(c, spec, prog)
-}
-
-// RunBatch executes several jobs back to back on one checked-out
-// context — the small-NDRange batching path of the service. The arena
-// is reset between jobs, so every result stays byte-identical to a
-// solo run; what the batch saves is the per-job checkout round trip.
-// Results and errors are positional.
-func (r *Runtime) RunBatch(specs []*Spec, progs []*ir.Program) ([]*Result, []error) {
-	results := make([]*Result, len(specs))
-	errs := make([]error, len(specs))
-	c := r.checkout()
-	for i, spec := range specs {
-		results[i], errs[i] = r.runOn(c, spec, progs[i])
-		if i < len(specs)-1 && !c.Arena().Reset() {
-			// A leaked allocation poisons the address layout; retire
-			// the context rather than let job i+1 see it.
-			c.Close()
-			c = r.checkout()
-		}
-	}
-	r.checkin(c)
-	return results, errs
-}
-
-// runOn executes one job on an already-checked-out context whose
-// arena is empty.
-func (r *Runtime) runOn(c *cl.Context, spec *Spec, prog *ir.Program) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	c := r.checkout()
+	defer r.checkin(c)
 
 	// Fresh device models per job: cold caches, like the harness gives
 	// each benchmark, so reports never depend on what ran before.

@@ -19,8 +19,9 @@
 // Simulated timestamps are a pure function of the DAG:
 //
 //	QUEUED  = Ended of the QueuedAfter event (the in-order
-//	          predecessor), or 0 — an out-of-order enqueue is
-//	          instantaneous at simulated time zero
+//	          predecessor; its QUEUED if it failed), or 0 — an
+//	          out-of-order enqueue is instantaneous at simulated
+//	          time zero
 //	SUBMIT  = max(QUEUED, Ended of every wait-list event)
 //	START   = SUBMIT + dispatch overhead (clamped into [0, Seconds])
 //	END     = SUBMIT + Seconds
@@ -30,6 +31,16 @@
 // the timeline); across queues it yields deterministic overlap
 // windows. User events complete at simulated time zero regardless of
 // when the host signals them, so stamps never depend on host timing.
+//
+// # Failure
+//
+// A failed event fails every command that lists it in its wait list
+// (ErrDepFailed wrapping the cause). The QueuedAfter edge only orders:
+// a command never resolves before its in-order predecessor does, but
+// the predecessor's failure is not passed on. A failed command keeps
+// its QUEUED stamp and takes no simulated time, so its in-order
+// successor queues where it would have and QUEUED never goes
+// backwards along a chain.
 package sched
 
 import (
@@ -169,7 +180,8 @@ func (e *Event) Err() error {
 }
 
 // Stamps returns the simulated QUEUED/SUBMIT/START/END timestamps.
-// Meaningful only after the event completes successfully.
+// Meaningful only after the event completes successfully; a failed
+// command keeps only its QUEUED stamp.
 func (e *Event) Stamps() (queued, submitted, started, ended float64) {
 	e.s.mu.Lock()
 	defer e.s.mu.Unlock()
@@ -229,6 +241,7 @@ type Command struct {
 	queuedAfter *Event
 	minQueued   float64
 	onComplete  func(*Event)
+	depErr      error // a wait-list event failed; fail once queuedAfter resolves
 
 	ev        *Event
 	seq       int64
@@ -260,9 +273,10 @@ func (c *Command) After(evs ...*Event) *Command {
 }
 
 // QueuedAfter sets the event whose END defines this command's QUEUED
-// stamp — the in-order predecessor on the same queue. The event is
-// also an implicit dependency. Nil (the default) queues at simulated
-// time zero, the out-of-order behaviour.
+// stamp — the in-order predecessor on the same queue. The command does
+// not resolve before it, but its failure does not cascade (see the
+// package doc). Nil (the default) queues at simulated time zero, the
+// out-of-order behaviour.
 func (c *Command) QueuedAfter(e *Event) *Command {
 	c.queuedAfter = e
 	return c
@@ -301,6 +315,23 @@ func (c *Command) allDeps(fn func(*Event)) {
 	for _, d := range c.deps {
 		fn(d)
 	}
+}
+
+// waitsOn reports whether e is in the command's wait list.
+func (c *Command) waitsOn(e *Event) bool {
+	for _, d := range c.deps {
+		if d == e {
+			return true
+		}
+	}
+	return false
+}
+
+// predPending reports whether the command's in-order predecessor,
+// other than e, has yet to resolve.
+func (c *Command) predPending(e *Event) bool {
+	qa := c.queuedAfter
+	return qa != nil && qa != e && qa.status < StatusComplete
 }
 
 // Scheduler dispatches submitted commands in topological order on a
@@ -427,7 +458,7 @@ func (s *Scheduler) Submit(cmds ...*Command) error {
 			switch d.status {
 			case StatusComplete:
 			case StatusFailed:
-				if failed == nil {
+				if failed == nil && c.waitsOn(d) {
 					failed = fmt.Errorf("%q waits on failed %q: %w", c.label, d.label, errors.Join(ErrDepFailed, d.err))
 				}
 			default:
@@ -436,6 +467,8 @@ func (s *Scheduler) Submit(cmds ...*Command) error {
 			}
 		})
 		switch {
+		case failed != nil && c.predPending(nil):
+			c.depErr = failed
 		case failed != nil:
 			s.finishLocked(c.ev, Outcome{}, failed, &fired)
 		case c.ndeps == 0:
@@ -531,8 +564,14 @@ func (s *Scheduler) finishLocked(e *Event, out Outcome, err error, fired *[]*Eve
 	}
 	if c := e.cmd; c != nil {
 		e.queued = c.minQueued
-		if c.queuedAfter != nil && c.queuedAfter.ended > e.queued {
-			e.queued = c.queuedAfter.ended
+		if qa := c.queuedAfter; qa != nil {
+			tail := qa.ended
+			if qa.status == StatusFailed {
+				tail = qa.queued
+			}
+			if tail > e.queued {
+				e.queued = tail
+			}
 		}
 		e.submitted = e.queued
 		c.allDeps(func(d *Event) {
@@ -554,12 +593,12 @@ func (s *Scheduler) finishLocked(e *Event, out Outcome, err error, fired *[]*Eve
 		// and the dependency edges so an in-order chain does not keep
 		// every earlier command, and all its body captured, reachable
 		// from the latest event.
-		c.run, c.deps, c.queuedAfter = nil, nil, nil
+		c.run, c.deps, c.queuedAfter, c.depErr = nil, nil, nil, nil
 	}
 	if err != nil {
 		e.status = StatusFailed
 		e.err = err
-		e.queued, e.submitted, e.started, e.ended = 0, 0, 0, 0
+		e.submitted, e.started, e.ended = 0, 0, 0
 	} else {
 		e.status = StatusComplete
 	}
@@ -570,9 +609,19 @@ func (s *Scheduler) finishLocked(e *Event, out Outcome, err error, fired *[]*Eve
 		if w.ev.status >= StatusComplete {
 			continue
 		}
-		if err != nil {
-			s.finishLocked(w.ev, Outcome{},
-				fmt.Errorf("%q: %w", w.label, errors.Join(ErrDepFailed, err)), fired)
+		if err != nil && w.waitsOn(e) {
+			werr := fmt.Errorf("%q: %w", w.label, errors.Join(ErrDepFailed, err))
+			if w.predPending(e) {
+				if w.depErr == nil {
+					w.depErr = werr
+				}
+				continue
+			}
+			s.finishLocked(w.ev, Outcome{}, werr, fired)
+			continue
+		}
+		if e == w.queuedAfter && w.depErr != nil {
+			s.finishLocked(w.ev, Outcome{}, w.depErr, fired)
 			continue
 		}
 		if w.ndeps--; w.ndeps == 0 {

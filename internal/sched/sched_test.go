@@ -295,6 +295,47 @@ func TestFailureCascade(t *testing.T) {
 	}
 }
 
+// TestInOrderFailureOrdersOnly checks the two failure rules of an
+// in-order chain: a failed predecessor is not passed on (its successor
+// runs and queues at the failed command's QUEUED), and a command whose
+// wait list fails still resolves only after its predecessor.
+func TestInOrderFailureOrdersOnly(t *testing.T) {
+	s := sched.New()
+	defer s.Close()
+	boom := errors.New("boom")
+	u := s.NewUserEvent("gate")
+	a := cmd(s, "a", 2, nil).After(u)
+	x := s.NewCommand("x", func() (sched.Outcome, error) { return sched.Outcome{}, boom })
+	b := cmd(s, "b", 1, nil).QueuedAfter(a.Event()).After(x.Event())
+	var ran []string
+	c := cmd(s, "c", 3, &ran).QueuedAfter(b.Event())
+	if err := s.Submit(a, x, b, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Event().Wait(); !errors.Is(err, boom) {
+		t.Fatalf("x err = %v", err)
+	}
+	if b.Event().Complete() {
+		t.Fatal("b resolved before its in-order predecessor a")
+	}
+	if err := u.SetComplete(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Event().Wait(); !errors.Is(err, sched.ErrDepFailed) || !errors.Is(err, boom) {
+		t.Fatalf("b err = %v, want ErrDepFailed wrapping boom", err)
+	}
+	if err := c.Event().Wait(); err != nil {
+		t.Fatalf("c after failed in-order predecessor: %v", err)
+	}
+	if len(ran) != 1 || ran[0] != "c" {
+		t.Errorf("ran %v, want [c]", ran)
+	}
+	_, _, _, aEnd := a.Event().Stamps()
+	if q, _, _, end := c.Event().Stamps(); q != aEnd || end != aEnd+3 {
+		t.Errorf("c queued %g end %g, want %g and %g (a's END, b takes no time)", q, end, aEnd, aEnd+3)
+	}
+}
+
 // TestCloseFailsPending checks Close unblocks commands stuck on
 // unsignalled user events with ErrClosed, and is idempotent.
 func TestCloseFailsPending(t *testing.T) {
@@ -330,8 +371,10 @@ type dagSpec struct {
 
 // oracle executes the spec serially in submit order — a valid
 // topological order — and returns memory plus per-command stamps.
-// Failed commands (and their transitive dependents) neither run nor
-// carry stamps; ok marks the commands that completed.
+// Failed commands (and their transitive wait-list dependents) neither
+// run nor carry stamps; ok marks the commands that completed. An
+// in-order predecessor's failure is not passed on: its successor
+// queues at the failed command's QUEUED.
 func (d *dagSpec) oracle() (mem []byte, stamps [][4]float64, ok []bool) {
 	mem = make([]byte, d.n*8)
 	stamps = make([][4]float64, d.n)
@@ -349,32 +392,26 @@ func (d *dagSpec) oracle() (mem []byte, stamps [][4]float64, ok []bool) {
 			lastInQueue[q] = i
 		}
 	}
+	tail := make([]float64, d.n) // where an in-order successor queues
 	for i := 0; i < d.n; i++ {
+		queued := 0.0
+		if p := prevOf[i]; p >= 0 {
+			queued = tail[p]
+		}
+		tail[i] = queued
 		good := !d.fail[i]
 		for _, dep := range d.deps[i] {
 			if !ok[dep] {
 				good = false
 			}
 		}
-		if p := prevOf[i]; p >= 0 && !ok[p] {
-			good = false
-		}
 		if !good {
 			continue
 		}
 		ok[i] = true
-		queued := 0.0
-		if p := prevOf[i]; p >= 0 {
-			queued = stamps[p][3]
-		}
 		submitted := queued
 		for _, dep := range d.deps[i] {
 			if e := stamps[dep][3]; e > submitted {
-				submitted = e
-			}
-		}
-		if p := prevOf[i]; p >= 0 {
-			if e := stamps[p][3]; e > submitted {
 				submitted = e
 			}
 		}
@@ -386,6 +423,7 @@ func (d *dagSpec) oracle() (mem []byte, stamps [][4]float64, ok []bool) {
 			disp = d.seconds[i]
 		}
 		stamps[i] = [4]float64{queued, submitted, submitted + disp, submitted + d.seconds[i]}
+		tail[i] = stamps[i][3]
 		d.writeRegion(mem, i)
 	}
 	return mem, stamps, ok

@@ -1,10 +1,11 @@
 // Package service implements malid, the multi-tenant simulation
 // daemon: a stdlib-only net/http server exposing a versioned JSON API
-// over the job layer. Each tenant gets its own DAG scheduler as an
-// admission queue (jobs admit in submission order, with a quota), all
+// over the job layer. Every admitted job takes one path: it waits for
+// its tenant's previous job (so a tenant's jobs run one at a time, in
+// submission order, under a quota), takes one of MaxConcurrent global
+// slots, runs through job.Runtime.RunCompiled and finishes. All
 // tenants share one device worker pool and one content-addressed
-// compiled-program cache, and small NDRanges are batched onto a
-// single pooled context. Served reports are byte-identical to
+// compiled-program cache. Served reports are byte-identical to
 // in-process job.Runtime runs — the server adds routing, caching and
 // admission control, never timing.
 package service
@@ -80,13 +81,6 @@ type Config struct {
 	// CacheEntries / CacheDir configure the compiled-program cache.
 	CacheEntries int
 	CacheDir     string
-	// BatchItems: jobs with at most this many global work items are
-	// eligible for small-NDRange batching (default 4096; 0 keeps the
-	// default, negative disables batching).
-	BatchItems int64
-	// BatchMax is the largest batch drained onto one context
-	// (default 8).
-	BatchMax int
 	// Analysis is the daemon-wide admission policy for static-analysis
 	// findings: AnalysisOff, AnalysisWarn (default) or AnalysisError.
 	Analysis string
@@ -111,35 +105,24 @@ type Server struct {
 	runtime *job.Runtime
 	cache   *progcache.Cache
 	metrics *obs.Registry
-	slots   chan struct{} // global execution slots
+	slots   chan struct{}  // global execution slots
+	closing chan struct{}  // closed by Close: jobs not yet running fail
+	live    sync.WaitGroup // one count per admitted, unresolved job
 
 	mu      sync.Mutex
-	tenants map[string]*tenant
+	tenants map[string]*tenant // tenants with jobs in flight
 	jobs    map[string]*jobRec
 	done    []string // finished job ids, oldest first (history bound)
 	seq     uint64
 	closed  bool
 }
 
-// tenant is one admission queue: a DAG scheduler whose in-order chain
-// preserves submission order, plus the quota gate and the open batch.
+// tenant is one admission queue: a FIFO chain in which each job waits
+// for the previous one's doneCh. The record exists only while the
+// tenant has jobs in flight.
 type tenant struct {
-	name     string
-	sched    *sched.Scheduler
-	prev     *sched.Event // in-order admission chain
-	inFlight int          // admitted, not yet finished
-	batch    *batch       // open small-job batch, nil when none
-}
-
-// batch accumulates small jobs between submission and execution. Once
-// the batch command's body starts, the batch is sealed and later
-// small jobs open a new one.
-type batch struct {
-	mu     sync.Mutex
-	sealed bool
-	specs  []*job.Spec
-	progs  []*ir.Program
-	recs   []*jobRec
+	inFlight int           // admitted, not yet finished
+	last     chan struct{} // doneCh of the most recently admitted job
 }
 
 // jobRec is one job's registry entry.
@@ -150,6 +133,7 @@ type jobRec struct {
 	Error  string      `json:"error,omitempty"`
 	Result *job.Result `json:"result,omitempty"`
 
+	err       error // typed failure behind Error, for the wire code
 	cacheHit  bool
 	optPasses []string // transform passes applied (optimizing daemons)
 	doneCh    chan struct{}
@@ -165,12 +149,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.History <= 0 {
 		cfg.History = 1024
-	}
-	if cfg.BatchItems == 0 {
-		cfg.BatchItems = 4096
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 8
 	}
 	var err error
 	if cfg.Analysis, err = parsePolicy(cfg.Analysis); err != nil {
@@ -203,6 +181,7 @@ func New(cfg Config) (*Server, error) {
 		cache:   cache,
 		metrics: obs.NewRegistry(),
 		slots:   make(chan struct{}, cfg.MaxConcurrent),
+		closing: make(chan struct{}),
 		tenants: make(map[string]*tenant),
 		jobs:    make(map[string]*jobRec),
 	}
@@ -217,19 +196,22 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close drains every tenant scheduler and the runtime.
+// Close shuts the server down: running jobs complete, every admitted
+// job that has not started fails with sched.ErrClosed, later
+// submissions are refused with it, and Close returns once every
+// admitted job is resolved. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
-	s.closed = true
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants { // maligo:allow maporder closing distinct schedulers commutes
-		tenants = append(tenants, t)
+	first := !s.closed
+	if first {
+		s.closed = true
+		close(s.closing)
 	}
 	s.mu.Unlock()
-	for _, t := range tenants {
-		t.sched.Close()
+	s.live.Wait()
+	if first {
+		s.runtime.Close()
 	}
-	s.runtime.Close()
 }
 
 // Device returns the board model the daemon simulates (set by the
@@ -283,16 +265,6 @@ func (s *Server) compileProgram(source, options string) (*progcache.Entry, bool,
 	return e, hit, nil
 }
 
-// tenantLocked returns (creating if needed) a tenant. s.mu held.
-func (s *Server) tenantLocked(name string) *tenant {
-	t, ok := s.tenants[name]
-	if !ok {
-		t = &tenant{name: name, sched: sched.New()}
-		s.tenants[name] = t
-	}
-	return t
-}
-
 // Submit admits one job for a tenant and returns its registry entry
 // immediately; wait on rec.doneCh (or use SubmitWait) for the result.
 // The compile (or cache lookup) happens synchronously so malformed
@@ -343,7 +315,11 @@ func (s *Server) Submit(spec *job.Spec) (*jobRec, error) {
 		s.mu.Unlock()
 		return nil, sched.ErrClosed
 	}
-	t := s.tenantLocked(tenantName)
+	t := s.tenants[tenantName]
+	if t == nil {
+		t = &tenant{}
+		s.tenants[tenantName] = t
+	}
 	if t.inFlight >= s.cfg.MaxQueued {
 		s.mu.Unlock()
 		s.metrics.Counter("malid.jobs.rejected_quota").Inc()
@@ -360,132 +336,59 @@ func (s *Server) Submit(spec *job.Spec) (*jobRec, error) {
 		doneCh:    make(chan struct{}),
 	}
 	s.jobs[rec.ID] = rec
-
-	small := s.cfg.BatchItems > 0 && spec.WorkItems() <= s.cfg.BatchItems
-	if small && t.batch != nil && t.batch.join(spec, prog, rec) {
-		s.metrics.Counter("malid.jobs.batched").Inc()
-		s.mu.Unlock()
-		return rec, nil
-	}
-
-	if small {
-		b := &batch{
-			specs: []*job.Spec{spec},
-			progs: []*ir.Program{prog},
-			recs:  []*jobRec{rec},
-		}
-		t.batch = b
-		s.enqueueLocked(t, "batch", func() { s.runBatch(t, b) }, func(err error) {
-			b.mu.Lock()
-			b.sealed = true
-			recs := b.recs
-			b.mu.Unlock()
-			for _, r := range recs {
-				s.finish(r, nil, err)
-			}
-		})
-	} else {
-		s.enqueueLocked(t, spec.Kernel, func() { s.runSingle(rec, spec, prog) }, func(err error) {
-			s.finish(rec, nil, err)
-		})
-	}
+	prev := t.last
+	t.last = rec.doneCh
+	s.live.Add(1)
 	s.mu.Unlock()
 	s.metrics.Counter("malid.jobs.submitted").Inc()
+	go s.run(rec, prev, spec, prog)
 	return rec, nil
 }
 
-// enqueueLocked chains one command onto the tenant's in-order
-// admission queue. s.mu held. abort resolves the job(s) when the
-// command never ran (scheduler torn down mid-shutdown) so waiters are
-// never stranded on doneCh.
-func (s *Server) enqueueLocked(t *tenant, label string, body func(), abort func(error)) {
-	ran := false
-	cmd := t.sched.NewCommand(label, func() (sched.Outcome, error) {
-		ran = true
-		s.slots <- struct{}{} // global concurrency gate
-		defer func() { <-s.slots }()
-		body()
-		return sched.Outcome{}, nil
-	})
-	cmd.OnComplete(func(e *sched.Event) {
-		if e.Failed() && !ran {
-			go abort(sched.ErrClosed)
+// run is an admitted job's one path: wait for the tenant's previous
+// job (prev, nil for none), take a global slot, execute, finish. A job
+// that has not started running when Close begins fails with
+// sched.ErrClosed instead; waiting jobs never hold a slot.
+func (s *Server) run(rec *jobRec, prev <-chan struct{}, spec *job.Spec, prog *ir.Program) {
+	defer s.live.Done()
+	if prev != nil {
+		select {
+		case <-prev:
+		case <-s.closing:
 		}
-	})
-	if t.prev != nil {
-		cmd.QueuedAfter(t.prev)
 	}
-	if err := t.sched.Submit(cmd); err != nil {
-		// Closed scheduler (shutdown race): resolve the job out of
-		// band — never block while holding s.mu.
-		go body()
+	select {
+	case s.slots <- struct{}{}:
+	case <-s.closing:
+		s.finish(rec, nil, sched.ErrClosed)
 		return
 	}
-	t.prev = cmd.Event()
-}
-
-// join appends a job to an unsealed batch. Returns false once the
-// batch's command has started (the submitter then opens a new one).
-func (b *batch) join(spec *job.Spec, prog *ir.Program, rec *jobRec) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.sealed {
-		return false
-	}
-	b.specs = append(b.specs, spec)
-	b.progs = append(b.progs, prog)
-	b.recs = append(b.recs, rec)
-	return true
-}
-
-// runBatch seals and executes one small-job batch on a single pooled
-// context, splitting oversized accumulations into BatchMax chunks.
-func (s *Server) runBatch(t *tenant, b *batch) {
-	b.mu.Lock()
-	b.sealed = true
-	specs, progs, recs := b.specs, b.progs, b.recs
-	b.mu.Unlock()
+	defer func() { <-s.slots }()
 	s.mu.Lock()
-	if t.batch == b {
-		t.batch = nil
+	if s.closed {
+		s.mu.Unlock()
+		s.finish(rec, nil, sched.ErrClosed)
+		return
 	}
-	for _, rec := range recs {
-		rec.Status = "running"
-	}
-	s.mu.Unlock()
-
-	for len(specs) > 0 {
-		n := len(specs)
-		if n > s.cfg.BatchMax {
-			n = s.cfg.BatchMax
-		}
-		results, errs := s.runtime.RunBatch(specs[:n], progs[:n])
-		for i := 0; i < n; i++ {
-			s.finish(recs[i], results[i], errs[i])
-		}
-		specs, progs, recs = specs[n:], progs[n:], recs[n:]
-	}
-}
-
-// runSingle executes one large job.
-func (s *Server) runSingle(rec *jobRec, spec *job.Spec, prog *ir.Program) {
-	s.mu.Lock()
 	rec.Status = "running"
 	s.mu.Unlock()
 	res, err := s.runtime.RunCompiled(spec, prog)
 	s.finish(rec, res, err)
 }
 
-// finish resolves one job record and trims history.
+// finish resolves one job record, releases its tenant record when it
+// was the tenant's last job in flight, and trims history.
 func (s *Server) finish(rec *jobRec, res *job.Result, err error) {
 	s.mu.Lock()
-	t := s.tenants[rec.Tenant]
-	if t != nil {
-		t.inFlight--
+	if t := s.tenants[rec.Tenant]; t != nil {
+		if t.inFlight--; t.inFlight == 0 {
+			delete(s.tenants, rec.Tenant)
+		}
 	}
 	if err != nil {
 		rec.Status = "failed"
 		rec.Error = err.Error()
+		rec.err = err
 		s.metrics.Counter("malid.jobs.failed").Inc()
 	} else {
 		rec.Status = "done"
@@ -703,8 +606,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	<-rec.doneCh
-	if rec.Error != "" {
-		writeError(w, errors.New(rec.Error))
+	if rec.err != nil {
+		writeError(w, rec.err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rec.Result)

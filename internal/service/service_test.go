@@ -3,9 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"maligo/internal/job"
+	"maligo/internal/sched"
 )
 
 // newTestServer stands up a server plus its httptest front end.
@@ -139,8 +142,8 @@ func TestSubmitServesInProcessBytes(t *testing.T) {
 
 // TestConcurrentTenantsBitIdentical fires every mix benchmark from
 // several tenants at once, twice over, and requires every served body
-// to match the in-process baseline byte for byte — admission order,
-// batching and context pooling must never leak into results. It also
+// to match the in-process baseline byte for byte — admission order and
+// context pooling must never leak into results. It also
 // checks the repeat pass hits the program cache >90% of the time.
 func TestConcurrentTenantsBitIdentical(t *testing.T) {
 	rt := job.NewRuntime(job.Config{})
@@ -207,23 +210,6 @@ func TestConcurrentTenantsBitIdentical(t *testing.T) {
 	rate := float64(rh) / float64(rh+rm)
 	if rate < 0.9 {
 		t.Fatalf("repeat-round cache hit rate %.3f (hits=%d misses=%d), want > 0.9", rate, rh, rm)
-	}
-}
-
-// TestBatchingBitIdentical runs the mix with batching forced on (tiny
-// threshold conditions already satisfied — mix jobs are small) and
-// with batching disabled, and requires identical bodies from both
-// servers.
-func TestBatchingBitIdentical(t *testing.T) {
-	_, batched := newTestServer(t, Config{BatchItems: 1 << 20, BatchMax: 4})
-	_, unbatched := newTestServer(t, Config{BatchItems: -1})
-	for _, spec := range job.MixSpecs() {
-		body, _ := json.Marshal(spec)
-		a := readAll(t, postJSON(t, batched.URL+"/v1/jobs", string(body)))
-		b := readAll(t, postJSON(t, unbatched.URL+"/v1/jobs", string(body)))
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s: batched body differs from unbatched\nbatched:   %s\nunbatched: %s", spec.Kernel, a, b)
-		}
 	}
 }
 
@@ -311,6 +297,10 @@ func TestMalformedRequests(t *testing.T) {
 	bad.Kernel = "no_such_kernel"
 	badKernel, _ := json.Marshal(&bad)
 
+	short := *spec
+	short.Args = short.Args[:len(short.Args)-1]
+	shortArgs, _ := json.Marshal(&short)
+
 	cases := []struct {
 		name   string
 		method string
@@ -326,6 +316,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"bad device", "POST", "/v1/jobs", `{"source": "__kernel void k(){}", "kernel": "k", "device": "tpu", "global": [1]}`, http.StatusBadRequest, "invalid_job"},
 		{"build failure", "POST", "/v1/jobs", `{"source": "__kernel void k(int x{}", "kernel": "k", "device": "gpu", "global": [1]}`, http.StatusUnprocessableEntity, "job_error"},
 		{"unknown kernel", "POST", "/v1/jobs", string(badKernel), http.StatusUnprocessableEntity, "job_error"},
+		{"wrong arg count", "POST", "/v1/jobs", string(shortArgs), http.StatusBadRequest, "invalid_job"},
 		{"uncached program_id", "POST", "/v1/jobs", `{"program_id": "sha256:0000", "kernel": "k", "device": "gpu", "global": [1]}`, http.StatusBadRequest, "invalid_job"},
 		{"programs missing source", "POST", "/v1/programs", `{}`, http.StatusBadRequest, "invalid_job"},
 		{"unknown job", "GET", "/v1/jobs/j-ffffffff", "", http.StatusNotFound, "unknown_job"},
@@ -381,7 +372,7 @@ __kernel void slow(__global float* x, const uint iters) {
 // and checks the next submission is rejected 429 while a different
 // tenant still admits.
 func TestTenantQuota(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxQueued: 2, MaxConcurrent: 1, BatchItems: -1})
+	_, ts := newTestServer(t, Config{MaxQueued: 2, MaxConcurrent: 1})
 	spec := &job.Spec{
 		Tenant: "greedy",
 		Source: slowKernel,
@@ -472,5 +463,130 @@ func TestHistoryBound(t *testing.T) {
 		if _, err := s.Lookup(id); err != nil {
 			t.Fatalf("job %s: %v, want retained", id, err)
 		}
+	}
+}
+
+// slowSpec is a slowKernel job for tenant that runs for iters
+// iterations per work item.
+func slowSpec(tenant string, iters int64) *job.Spec {
+	return &job.Spec{
+		Tenant: tenant,
+		Source: slowKernel,
+		Kernel: "slow",
+		Device: job.DeviceGPU,
+		Global: []int{4096},
+		Args: []job.Arg{
+			{Kind: job.ArgBuffer, Size: 4 * 4096},
+			{Kind: job.ArgInt, Int: iters},
+		},
+	}
+}
+
+// TestIdleTenantsReleased checks a tenant costs nothing once its jobs
+// are done: after one job under each of many distinct tenant names,
+// no tenant record and no per-tenant goroutine is left behind.
+func TestIdleTenantsReleased(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	spec := vecopSpec(t)
+	submit := func(tenant string) {
+		t.Helper()
+		sp := *spec
+		sp.Tenant = tenant
+		rec, err := s.SubmitWait(&sp)
+		if err != nil {
+			t.Fatalf("%s: %v", tenant, err)
+		}
+		if rec.Status != "done" {
+			t.Fatalf("%s: status %s (%s)", tenant, rec.Status, rec.Error)
+		}
+	}
+	// A warm-up job builds the pooled context the rest reuse, so the
+	// baseline counts its goroutines too.
+	submit("warm-up")
+	// settled polls until the goroutine count stops changing (or drops
+	// to max) and returns it.
+	settled := func(max int) int {
+		n := runtime.NumGoroutine()
+		for still, deadline := 0, time.Now().Add(5*time.Second); n > max && still < 10 && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				still++
+			} else {
+				still = 0
+			}
+			n = m
+		}
+		return n
+	}
+	base := settled(0)
+
+	const tenants = 32
+	for i := 0; i < tenants; i++ {
+		submit(fmt.Sprintf("tenant-%d", i))
+	}
+	s.mu.Lock()
+	left := len(s.tenants)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d tenant records left after every job finished, want 0", left)
+	}
+	if n := settled(base); n > base {
+		t.Errorf("%d goroutines after %d idle tenants, baseline %d", n, tenants, base)
+	}
+}
+
+// TestCloseUnderLoad closes a server while one tenant's first job runs
+// and three more wait behind it: the running job completes, the
+// waiting ones fail with the shutdown error, Close returns only after
+// all four are resolved, and later submissions are refused.
+func TestCloseUnderLoad(t *testing.T) {
+	s, err := New(Config{MaxConcurrent: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	var recs []*jobRec
+	for i := 0; i < 4; i++ {
+		rec, err := s.Submit(slowSpec("busy", 4000))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		recs = append(recs, rec)
+	}
+	status := func(rec *jobRec) string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return rec.Status
+	}
+	for deadline := time.Now().Add(10 * time.Second); status(recs[0]) != "running"; {
+		if time.Now().After(deadline) {
+			t.Fatalf("job 1 never started (status %s)", status(recs[0]))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+
+	for i, rec := range recs {
+		select {
+		case <-rec.doneCh:
+		default:
+			t.Fatalf("job %d unresolved after Close returned", i+1)
+		}
+	}
+	if recs[0].Status != "done" {
+		t.Errorf("running job finished %s (%s), want done", recs[0].Status, recs[0].Error)
+	}
+	for i, rec := range recs[1:] {
+		if rec.Status != "failed" || !errors.Is(rec.err, sched.ErrClosed) {
+			t.Errorf("waiting job %d: status %s, err %v, want failed with sched.ErrClosed", i+2, rec.Status, rec.err)
+		}
+	}
+	if _, err := s.Submit(slowSpec("busy", 1)); !errors.Is(err, sched.ErrClosed) {
+		t.Errorf("submit after Close = %v, want sched.ErrClosed", err)
 	}
 }

@@ -10,8 +10,10 @@ import (
 
 // Engine benchmarks: one full work-group execution per iteration, the
 // same kernels under the reference interpreter and the compiled fast
-// path. `make bench` records them in BENCH_vm_v2.json; compare against
-// the committed baseline before touching either engine's hot path.
+// path. They isolate the VM layer: run them with -count of 10 or more
+// before and after touching either engine's hot path and compare the
+// distributions, then confirm on repobench's end-to-end sweep.
+// `make bench-smoke` runs one iteration on every verify.
 //
 // The three kernels cover the execution profiles that dominate the
 // paper's benchmarks: a multiply-accumulate loop (arithmetic pipe), a
