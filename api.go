@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"maligo/internal/cl"
-	"maligo/internal/core"
 	"maligo/internal/device"
 	"maligo/internal/job"
 	"maligo/internal/obs"
@@ -56,9 +55,6 @@ type (
 	// Meter is the simulated power meter.
 	Meter = power.Meter
 
-	// RunKind tells MeasureKind which units were active.
-	RunKind = core.RunKind
-
 	// The observability surface: metrics the runtime accumulates on
 	// every enqueue, queue timelines for trace export, and the
 	// pprof-style hot-line profile.
@@ -95,12 +91,6 @@ const (
 	MemAllocHostPtr   = cl.MemAllocHostPtr
 	MemCopyHostPtr    = cl.MemCopyHostPtr
 	DefaultArenaBytes = cl.DefaultArenaBytes
-)
-
-// Run kinds for MeasureKind.
-const (
-	CPURun = core.CPURun
-	GPURun = core.GPURun
 )
 
 // Queue properties for CreateCommandQueueWith.

@@ -12,7 +12,24 @@
 //	if err := prog.Build("-DREAL=float"); err != nil { ... }
 //	q := p.Context.CreateCommandQueue(p.GPU)
 //	... create buffers, set args, enqueue ...
-//	m := p.Measure(q, core.GPURun)
+//	m, act := p.Measure(q)
+//
+// # Power accounting
+//
+// RegionActivity is the one rule that turns a measured region (the
+// events recorded on a queue since its last ResetEvents) into the
+// power model's Activity. The figure harness, the autotuner, malid
+// and Platform.Measure all price regions through it:
+//
+//   - every command adds its duration to the region's seconds;
+//   - a host-side command (a copy, map or unmap: no device report)
+//     burns one CPU core, and raises CPU utilization to at least 0.4;
+//   - a kernel adds its DRAM bytes, and its busy core-seconds to the
+//     unit that ran it: the GPU when the queue's device is the Mali,
+//     the CPU cluster otherwise. That unit's utilization is the mean of
+//     its kernels' utilizations weighted by their busy core-seconds;
+//   - on a GPU region the host core spins on clFinish for the whole of
+//     every kernel (HostSpinSeconds).
 package core
 
 import (
@@ -101,40 +118,51 @@ func (p *Platform) Devices() []device.Device {
 	return []device.Device{p.CPU1, p.CPU2, p.GPU}
 }
 
-// RunKind tells Measure which units were active during the region.
-type RunKind int
-
-// Run kinds for Measure.
-const (
-	CPURun RunKind = iota // region executed on A15 cores
-	GPURun                // region executed on the Mali GPU (host spins)
-)
-
 // Measure folds the events recorded on q since the last ResetEvents
 // into a board-level power/energy measurement using the simulated
 // Yokogawa WT230 protocol (20 repetitions, 10 Hz sampling, 0.1%
-// accuracy). It returns the measurement and the region's activity.
-func (p *Platform) Measure(q *cl.CommandQueue, kind RunKind) (power.Measurement, power.Activity) {
+// accuracy). It returns the measurement and the region's activity
+// (RegionActivity).
+func (p *Platform) Measure(q *cl.CommandQueue) (power.Measurement, power.Activity) {
+	act := RegionActivity(q)
+	return p.Meter.Measure(act), act
+}
+
+// RegionActivity folds the events recorded on q since the last
+// ResetEvents into a power-model activity, by the rule in the package
+// comment. Whether the region ran on the GPU follows from q's device.
+func RegionActivity(q *cl.CommandQueue) power.Activity {
+	_, onGPU := q.Device().(*mali.GPU)
 	var act power.Activity
 	for _, ev := range q.Events() {
 		act.Seconds += ev.Seconds
-		if ev.Report == nil {
+		rep := ev.Report
+		if rep == nil {
 			act.CPUBusyCoreSeconds += ev.Seconds
-			if act.CPUUtil < 0.4 {
-				act.CPUUtil = 0.4
-			}
+			act.CPUUtil = max(act.CPUUtil, 0.4)
 			continue
 		}
-		rep := ev.Report
 		act.DRAMBytes += rep.DRAMBytes
-		if kind == GPURun {
+		if onGPU {
 			act.GPUBusyCoreSeconds += rep.BusyCoreSeconds
-			act.GPUUtil = rep.Utilization
+			act.GPUUtil = weightedUtil(act.GPUUtil, act.GPUBusyCoreSeconds-rep.BusyCoreSeconds,
+				rep.Utilization, rep.BusyCoreSeconds)
 			act.HostSpinSeconds += ev.Seconds
 		} else {
 			act.CPUBusyCoreSeconds += rep.BusyCoreSeconds
-			act.CPUUtil = rep.Utilization
+			act.CPUUtil = weightedUtil(act.CPUUtil, act.CPUBusyCoreSeconds-rep.BusyCoreSeconds,
+				rep.Utilization, rep.BusyCoreSeconds)
 		}
 	}
-	return p.Meter.Measure(act), act
+	return act
+}
+
+// weightedUtil extends a utilization averaged over prevWeight
+// busy core-seconds by a kernel's util over weight more.
+func weightedUtil(prevUtil, prevWeight, util, weight float64) float64 {
+	total := prevWeight + weight
+	if total <= 0 {
+		return util
+	}
+	return (prevUtil*prevWeight + util*weight) / total
 }

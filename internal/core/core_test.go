@@ -61,14 +61,14 @@ __kernel void twice(__global float* x, const uint n) {
 	// Same kernel on the GPU and on one CPU core: both must compute
 	// the same result; the measurements must be internally consistent.
 	for _, tc := range []struct {
-		dev  string
-		kind core.RunKind
-	}{{"gpu", core.GPURun}, {"cpu", core.CPURun}} {
+		dev string
+		gpu bool
+	}{{"gpu", true}, {"cpu", false}} {
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(1))
 		}
 		var q *cl.CommandQueue
-		if tc.kind == core.GPURun {
+		if tc.gpu {
 			q = p.Context.CreateCommandQueue(p.GPU)
 		} else {
 			q = p.Context.CreateCommandQueue(p.CPU1)
@@ -76,17 +76,17 @@ __kernel void twice(__global float* x, const uint n) {
 		if _, err := q.EnqueueNDRangeKernel(k, 1, []int{n}, []int{64}); err != nil {
 			t.Fatalf("%s: %v", tc.dev, err)
 		}
-		m, act := p.Measure(q, tc.kind)
+		m, act := p.Measure(q)
 		if m.MeanPowerW <= 2 || m.EnergyJ <= 0 {
 			t.Errorf("%s: measurement %+v implausible", tc.dev, m)
 		}
 		if act.Seconds <= 0 {
 			t.Errorf("%s: empty activity", tc.dev)
 		}
-		if tc.kind == core.GPURun && act.GPUBusyCoreSeconds <= 0 {
+		if tc.gpu && act.GPUBusyCoreSeconds <= 0 {
 			t.Errorf("gpu run with no GPU activity")
 		}
-		if tc.kind == core.CPURun && act.CPUBusyCoreSeconds <= 0 {
+		if !tc.gpu && act.CPUBusyCoreSeconds <= 0 {
 			t.Errorf("cpu run with no CPU activity")
 		}
 		for i := 0; i < n; i++ {

@@ -81,7 +81,7 @@ func RunHostMemAblation(n int) (HostMemResult, error) {
 	if _, err := q.EnqueueReadBuffer(buf, 0, host); err != nil {
 		return res, err
 	}
-	m, _ := p.Measure(q, core.GPURun)
+	m, _ := p.Measure(q)
 	res.CopySeconds = q.TotalSeconds()
 	res.CopyEnergyJ = m.EnergyJ
 
@@ -98,7 +98,7 @@ func RunHostMemAblation(n int) (HostMemResult, error) {
 		return res, err
 	}
 	q.EnqueueUnmapMemObject(buf)
-	m, _ = p.Measure(q, core.GPURun)
+	m, _ = p.Measure(q)
 	res.MapSeconds = q.TotalSeconds()
 	res.MapEnergyJ = m.EnergyJ
 	return res, nil

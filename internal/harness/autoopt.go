@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"maligo/internal/bench"
-	"maligo/internal/cl"
 	"maligo/internal/clc"
 	"maligo/internal/clc/opt"
-	"maligo/internal/cpu"
-	"maligo/internal/mali"
+	"maligo/internal/core"
 )
 
 // This file measures how much of the paper's §V hand-optimization win
@@ -79,21 +77,13 @@ func gpuVersionSeconds(name string, v bench.Version, scale float64, optimize boo
 	if optimize {
 		irProg, rep = opt.Optimize(irProg)
 	}
-	gpu := mali.New()
-	ctx := cl.NewContextWith(cl.WithDevices(cpu.New(1), cpu.New(2), gpu))
-	defer ctx.Close()
-	prog := ctx.CreateProgramFromIR(irProg, b.Source())
-	if err := b.Setup(ctx, bench.F32, scale); err != nil {
+	p := core.NewPlatform()
+	defer p.Close()
+	prog := p.Context.CreateProgramFromIR(irProg, b.Source())
+	if err := b.Setup(p.Context, bench.F32, scale); err != nil {
 		return 0, nil, err
 	}
-	q := ctx.CreateCommandQueue(gpu)
-	// Warm the L2, then measure the steady-state execution — the same
-	// protocol as the figure harness.
-	if _, err := b.Run(q, prog, v); err != nil {
-		return 0, nil, err
-	}
-	q.ResetEvents()
-	info, err := b.Run(q, prog, v)
+	r, err := MeasureRegion(p.Context.CreateCommandQueue(p.GPU), b, prog, v, false)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -105,7 +95,7 @@ func gpuVersionSeconds(name string, v bench.Version, scale float64, optimize boo
 	var passes []string
 	if rep != nil {
 		launched := map[string]bool{}
-		for _, k := range info.Kernels {
+		for _, k := range r.Info.Kernels {
 			launched[k] = true
 		}
 		for _, name := range opt.PassNames() {
@@ -117,7 +107,7 @@ func gpuVersionSeconds(name string, v bench.Version, scale float64, optimize boo
 			}
 		}
 	}
-	return q.TotalSeconds(), passes, nil
+	return r.Activity.Seconds, passes, nil
 }
 
 // RunAutoOptAblation measures the three-way naive/auto/hand timing for

@@ -12,8 +12,8 @@ import (
 
 	"maligo/internal/bench"
 	"maligo/internal/cl"
-	"maligo/internal/cpu"
-	"maligo/internal/mali"
+	"maligo/internal/core"
+	"maligo/internal/device"
 	"maligo/internal/obs"
 	"maligo/internal/platform"
 	"maligo/internal/power"
@@ -177,32 +177,17 @@ func Run(cfg Config) (*Results, error) {
 }
 
 // runBenchmark measures all four versions of one benchmark at one
-// precision. A fresh context and fresh devices are created per
+// precision. A fresh board (context and devices) is created per
 // benchmark so cache state never leaks between benchmarks; within a
-// benchmark, every version gets a warm-up execution before the
-// measured one, matching the paper's methodology of timing only the
-// steady-state parallel region. The warm-up leaves the simulated
-// caches warm and also records each launch in the context's launch
-// memo, so the measured run, which repeats the launches on the same
-// inputs, replays the recorded traces into the warm timing model
-// instead of executing the kernels again (see internal/cl). Its
-// simulated results are bit-identical to a re-execution, but its
-// HostSeconds measure the replay, not VM cost.
+// benchmark, every version is measured by MeasureRegion.
 func runBenchmark(cfg Config, res *Results, meter *power.Meter, name string, prec bench.Precision) error {
 	b := bench.ByName(name)
 	if b == nil {
 		return fmt.Errorf("unknown benchmark %q", name)
 	}
-	soc := cfg.soc()
-	cpu1 := cpu.NewOn(soc, 1)
-	cpu2 := cpu.NewOn(soc, soc.CPU.Cores)
-	gpu := mali.NewOn(soc)
-	ctx := cl.NewContextWith(
-		cl.WithDevices(cpu1, cpu2, gpu),
-		cl.WithWorkers(cfg.Workers),
-		cl.WithEngine(cfg.Engine),
-	)
-	defer ctx.Close()
+	p := core.NewPlatformWith(core.Options{Workers: cfg.Workers, Engine: cfg.Engine, SoC: cfg.SoC})
+	defer p.Close()
+	ctx := p.Context
 
 	prog := ctx.CreateProgramWithSource(b.Source())
 	if err := prog.Build(prec.BuildOptions()); err != nil {
@@ -212,11 +197,9 @@ func runBenchmark(cfg Config, res *Results, meter *power.Meter, name string, pre
 		return err
 	}
 
-	queues := map[bench.Version]*cl.CommandQueue{
-		bench.Serial:    ctx.CreateCommandQueue(cpu1),
-		bench.OpenMP:    ctx.CreateCommandQueue(cpu2),
-		bench.OpenCL:    ctx.CreateCommandQueue(gpu),
-		bench.OpenCLOpt: ctx.CreateCommandQueue(gpu),
+	queues := map[bench.Version]*cl.CommandQueue{}
+	for _, v := range bench.Versions() {
+		queues[v] = ctx.CreateCommandQueue(VersionDevice(p, v))
 	}
 
 	for _, v := range bench.Versions() {
@@ -229,34 +212,16 @@ func runBenchmark(cfg Config, res *Results, meter *power.Meter, name string, pre
 			continue
 		}
 		q := queues[v]
-
-		// Warm-up execution (caches, like the paper's repeated
-		// iterations reaching steady state); it also records the
-		// launches the measured run replays.
-		if _, err := b.Run(q, prog, v); err != nil {
-			return fmt.Errorf("%s warm-up: %w", v, err)
-		}
-		q.ResetEvents() // rewinds the queue clock: measured timeline starts at t=0
-		if cfg.ProfileLines {
-			q.SetLineProfile(true)
-		}
-
-		start := time.Now() // maligo:allow walltime Cell.HostSeconds is documented host wall-clock
-		info, err := b.Run(q, prog, v)
-		if err != nil {
-			return fmt.Errorf("%s: %w", v, err)
-		}
-		cell.HostSeconds = time.Since(start).Seconds()
-		cell.FellBack = info.FellBack
-		cell.Kernels = info.Kernels
-
-		act, err := ActivityFromEvents(q, v)
+		r, err := MeasureRegion(q, b, prog, v, cfg.ProfileLines)
 		if err != nil {
 			return err
 		}
-		cell.Seconds = act.Seconds
-		cell.Activity = act
-		cell.Power = meter.Measure(act)
+		cell.HostSeconds = r.HostSeconds
+		cell.FellBack = r.Info.FellBack
+		cell.Kernels = r.Info.Kernels
+		cell.Seconds = r.Activity.Seconds
+		cell.Activity = r.Activity
+		cell.Power = meter.Measure(r.Activity)
 		cell.Timeline = q.Timeline()
 		cell.Metrics = ctx.Metrics().Snapshot()
 		if lp := q.LineProfile(); cfg.ProfileLines && lp != nil {
@@ -273,51 +238,56 @@ func runBenchmark(cfg Config, res *Results, meter *power.Meter, name string, pre
 	return nil
 }
 
-// ActivityFromEvents folds a measured region's queue events into a
-// power-model activity. The cross-device autotuner (internal/tune)
-// reuses it so tuner candidates are priced by exactly the figure
-// harness's accounting.
-func ActivityFromEvents(q *cl.CommandQueue, v bench.Version) (power.Activity, error) {
-	var act power.Activity
-	for _, ev := range q.Events() {
-		act.Seconds += ev.Seconds
-		if ev.Report == nil {
-			// Host-side copy/map commands burn one CPU core.
-			act.CPUBusyCoreSeconds += ev.Seconds
-			act.CPUUtil = maxf(act.CPUUtil, 0.4)
-			continue
-		}
-		rep := ev.Report
-		act.DRAMBytes += rep.DRAMBytes
-		if v.IsGPU() {
-			act.GPUBusyCoreSeconds += rep.BusyCoreSeconds
-			act.GPUUtil = weightedUtil(act.GPUUtil, act.GPUBusyCoreSeconds-rep.BusyCoreSeconds,
-				rep.Utilization, rep.BusyCoreSeconds)
-			// The host core spins on clFinish for the duration.
-			act.HostSpinSeconds += ev.Seconds
-		} else {
-			act.CPUBusyCoreSeconds += rep.BusyCoreSeconds
-			act.CPUUtil = weightedUtil(act.CPUUtil, act.CPUBusyCoreSeconds-rep.BusyCoreSeconds,
-				rep.Utilization, rep.BusyCoreSeconds)
-		}
+// VersionDevice is the device of p a benchmark version runs on: one
+// CPU core for Serial, the cluster for OpenMP, the GPU for both
+// OpenCL versions.
+func VersionDevice(p *core.Platform, v bench.Version) device.Device {
+	switch v {
+	case bench.Serial:
+		return p.CPU1
+	case bench.OpenMP:
+		return p.CPU2
 	}
-	if act.Seconds <= 0 {
-		return act, fmt.Errorf("harness: empty measured region")
-	}
-	return act, nil
+	return p.GPU
 }
 
-func weightedUtil(prevUtil, prevWeight, util, weight float64) float64 {
-	total := prevWeight + weight
-	if total <= 0 {
-		return util
-	}
-	return (prevUtil*prevWeight + util*weight) / total
+// Region is one measured steady-state region.
+type Region struct {
+	Info *bench.RunInfo
+	// Activity is the measured run's events folded by
+	// core.RegionActivity.
+	Activity power.Activity
+	// HostSeconds is the host wall-clock of the measured run alone.
+	HostSeconds float64
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
+// MeasureRegion runs the paper's measurement protocol (§IV) for
+// version v of b on q, the one every harness leg and the autotuner
+// share: a warm-up run, ResetEvents, then the measured run, which
+// alone is timed on the host and, with lines set, line-profiled. Only
+// the steady-state region is priced, like the paper. The warm-up
+// leaves the simulated caches warm and records each launch in the
+// context's launch memo, so the measured run, which repeats the
+// launches on the same inputs, replays the recorded traces into the
+// warm timing model instead of executing the kernels again (see
+// internal/cl). Its simulated results are bit-identical to a
+// re-execution, but its HostSeconds measure the replay, not VM cost.
+func MeasureRegion(q *cl.CommandQueue, b bench.Benchmark, prog *cl.Program, v bench.Version, lines bool) (Region, error) {
+	if _, err := b.Run(q, prog, v); err != nil {
+		return Region{}, fmt.Errorf("%s warm-up: %w", v, err)
 	}
-	return b
+	q.ResetEvents() // rewinds the queue clock: measured timeline starts at t=0
+	if lines {
+		q.SetLineProfile(true)
+	}
+	start := time.Now() // maligo:allow walltime Region.HostSeconds is documented host wall-clock
+	info, err := b.Run(q, prog, v)
+	if err != nil {
+		return Region{}, fmt.Errorf("%s: %w", v, err)
+	}
+	r := Region{Info: info, HostSeconds: time.Since(start).Seconds(), Activity: core.RegionActivity(q)}
+	if r.Activity.Seconds <= 0 {
+		return r, fmt.Errorf("harness: empty measured region")
+	}
+	return r, nil
 }

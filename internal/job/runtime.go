@@ -8,6 +8,7 @@ import (
 	"maligo/internal/cl"
 	"maligo/internal/clc"
 	"maligo/internal/clc/ir"
+	"maligo/internal/core"
 	"maligo/internal/cpu"
 	"maligo/internal/device"
 	"maligo/internal/mali"
@@ -167,7 +168,6 @@ func (r *Runtime) RunCompiled(spec *Spec, prog *ir.Program) (*Result, error) {
 	// Fresh device models per job: cold caches, like the harness gives
 	// each benchmark, so reports never depend on what ran before.
 	var dev device.Device
-	gpuRun := false
 	switch spec.Device {
 	case DeviceCPU:
 		dev = cpu.NewOn(r.cfg.SoC, 1)
@@ -175,7 +175,6 @@ func (r *Runtime) RunCompiled(spec *Spec, prog *ir.Program) (*Result, error) {
 		dev = cpu.NewOn(r.cfg.SoC, r.cfg.SoC.CPU.Cores)
 	case DeviceGPU:
 		dev = mali.NewOn(r.cfg.SoC)
-		gpuRun = true
 	}
 
 	p := c.CreateProgramFromIR(prog, spec.Source)
@@ -248,7 +247,7 @@ func (r *Runtime) RunCompiled(spec *Spec, prog *ir.Program) (*Result, error) {
 	if spec.ProgramID != "" && spec.Source == "" {
 		res.ProgramID = spec.ProgramID
 	}
-	act := activityFromEvents(q.Events(), gpuRun)
+	act := core.RegionActivity(q)
 	res.Seconds = act.Seconds
 	for _, ev := range q.Events() {
 		res.Events = append(res.Events, EventStamp{
@@ -283,41 +282,4 @@ func (r *Runtime) RunCompiled(spec *Spec, prog *ir.Program) (*Result, error) {
 		res.Buffers = append(res.Buffers, BufferOut{Arg: i, Data: out})
 	}
 	return res, nil
-}
-
-// activityFromEvents folds the queue history into a power-model
-// activity, the same way the harness does for a measured region.
-func activityFromEvents(events []*cl.Event, gpuRun bool) power.Activity {
-	var act power.Activity
-	for _, ev := range events {
-		act.Seconds += ev.Seconds
-		if ev.Report == nil {
-			act.CPUBusyCoreSeconds += ev.Seconds
-			if act.CPUUtil < 0.4 {
-				act.CPUUtil = 0.4
-			}
-			continue
-		}
-		rep := ev.Report
-		act.DRAMBytes += rep.DRAMBytes
-		if gpuRun {
-			act.GPUBusyCoreSeconds += rep.BusyCoreSeconds
-			act.GPUUtil = weightedUtil(act.GPUUtil, act.GPUBusyCoreSeconds-rep.BusyCoreSeconds,
-				rep.Utilization, rep.BusyCoreSeconds)
-			act.HostSpinSeconds += ev.Seconds
-		} else {
-			act.CPUBusyCoreSeconds += rep.BusyCoreSeconds
-			act.CPUUtil = weightedUtil(act.CPUUtil, act.CPUBusyCoreSeconds-rep.BusyCoreSeconds,
-				rep.Utilization, rep.BusyCoreSeconds)
-		}
-	}
-	return act
-}
-
-func weightedUtil(prevUtil, prevWeight, util, weight float64) float64 {
-	total := prevWeight + weight
-	if total <= 0 {
-		return util
-	}
-	return (prevUtil*prevWeight + util*weight) / total
 }

@@ -26,12 +26,10 @@ import (
 	"strings"
 
 	"maligo/internal/bench"
-	"maligo/internal/cl"
 	"maligo/internal/clc"
 	"maligo/internal/clc/opt"
-	"maligo/internal/cpu"
+	"maligo/internal/core"
 	"maligo/internal/harness"
-	"maligo/internal/mali"
 	"maligo/internal/platform"
 	"maligo/internal/power"
 	"maligo/internal/vm"
@@ -402,9 +400,10 @@ type measured struct {
 }
 
 // measure runs the candidate once under one engine: compile (routing
-// GPU candidates through the selected transform passes), warm up,
-// measure the steady-state region, verify, and price the activity on
-// the DVFS-derived SoC.
+// GPU candidates through the selected transform passes), measure the
+// steady-state region by the figure harness's protocol
+// (harness.MeasureRegion), verify, and price the activity on the
+// DVFS-derived SoC.
 func measure(space Space, soc *platform.SoC, cand Candidate, b bench.Benchmark, v bench.Version, eng vm.Engine) (*measured, error) {
 	irProg, err := clc.Compile(space.Bench+".cl", b.Source(), space.Precision.BuildOptions())
 	if err != nil {
@@ -419,48 +418,23 @@ func measure(space Space, soc *platform.SoC, cand Candidate, b bench.Benchmark, 
 		}
 	}
 
-	cpu1 := cpu.NewOn(soc, 1)
-	cluster := cpu.NewOn(soc, soc.CPU.Cores)
-	gpu := mali.NewOn(soc)
+	p := core.NewPlatformWith(core.Options{Workers: space.Workers, Engine: eng, SoC: soc})
+	defer p.Close()
 	if cand.LocalSize > 0 {
-		gpu.SetLocalSizeHint(cand.LocalSize)
+		p.GPU.SetLocalSizeHint(cand.LocalSize)
 	}
-	ctx := cl.NewContextWith(
-		cl.WithDevices(cpu1, cluster, gpu),
-		cl.WithWorkers(space.Workers),
-		cl.WithEngine(eng),
-	)
-	defer ctx.Close()
-
-	prog := ctx.CreateProgramFromIR(irProg, b.Source())
-	if err := b.Setup(ctx, space.Precision, space.Scale); err != nil {
+	prog := p.Context.CreateProgramFromIR(irProg, b.Source())
+	if err := b.Setup(p.Context, space.Precision, space.Scale); err != nil {
 		return nil, err
 	}
-	var q *cl.CommandQueue
-	switch v {
-	case bench.Serial:
-		q = ctx.CreateCommandQueue(cpu1)
-	case bench.OpenMP:
-		q = ctx.CreateCommandQueue(cluster)
-	default:
-		q = ctx.CreateCommandQueue(gpu)
-	}
-
-	// Warm-up then measured run — the figure harness's protocol.
-	if _, err := b.Run(q, prog, v); err != nil {
-		return nil, fmt.Errorf("warm-up: %w", err)
-	}
-	q.ResetEvents()
-	if _, err := b.Run(q, prog, v); err != nil {
+	r, err := harness.MeasureRegion(p.Context.CreateCommandQueue(harness.VersionDevice(p, v)), b, prog, v, false)
+	if err != nil {
 		return nil, err
 	}
 	if err := b.Verify(space.Precision); err != nil {
 		return nil, fmt.Errorf("verification: %w", err)
 	}
-	act, err := harness.ActivityFromEvents(q, v)
-	if err != nil {
-		return nil, err
-	}
+	act := r.Activity
 	return &measured{
 		Seconds:    act.Seconds,
 		EnergyJ:    power.EnergyOn(soc, act),

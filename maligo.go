@@ -86,23 +86,6 @@ func (p *Platform) CPUDual() Device { return p.Platform.CPU2 }
 // Mali returns the Mali-T604 GPU device.
 func (p *Platform) Mali() Device { return p.Platform.GPU }
 
-// Measure folds the events recorded on q since the last ResetEvents
-// into a board-level power/energy measurement, inferring from the
-// queue's device whether the region ran on the CPU cluster or on the
-// GPU (with the host spinning on clFinish).
-func (p *Platform) Measure(q *Queue) (Measurement, Activity) {
-	kind := core.CPURun
-	if _, ok := q.Device().(*mali.GPU); ok {
-		kind = core.GPURun
-	}
-	return p.Platform.Measure(q, kind)
-}
-
-// MeasureKind is Measure with the run kind stated explicitly.
-func (p *Platform) MeasureKind(q *Queue, kind RunKind) (Measurement, Activity) {
-	return p.Platform.Measure(q, kind)
-}
-
 // Metrics returns the platform context's metrics registry — counters,
 // gauges and histograms the runtime feeds on every enqueue. Take a
 // point-in-time view with Metrics().Snapshot().
