@@ -105,8 +105,6 @@ const (
 var (
 	// ErrContextClosed reports an enqueue or Finish on a closed context.
 	ErrContextClosed = cl.ErrContextClosed
-	// ErrEventCycle reports a wait-list cycle at submit.
-	ErrEventCycle = cl.ErrEventCycle
 	// ErrDoubleWait reports a duplicated wait-list entry.
 	ErrDoubleWait = cl.ErrDoubleWait
 	// ErrOrphanEvent reports a wait that can never finish because an

@@ -102,16 +102,18 @@ func (q *CommandQueue) EnqueueMapBufferAsync(b *Buffer, off, n int64, waitList [
 // EnqueueMarkerWithWaitList mirrors clEnqueueMarkerWithWaitList: a
 // zero-duration command that completes when the wait-list does — or,
 // with an empty wait-list, when everything previously enqueued on this
-// queue has completed. It does not block later commands.
+// queue has resolved. A failed wait-list event fails it; a failed
+// command of the implicit set does not. It does not block later
+// commands.
 func (q *CommandQueue) EnqueueMarkerWithWaitList(waitList []*Event) (*Event, error) {
 	return q.enqueueAsync(&Event{Kind: "marker"}, waitList, nil, withImplicitAll())
 }
 
 // EnqueueBarrierWithWaitList mirrors clEnqueueBarrierWithWaitList: it
 // completes when the wait-list (or, empty, everything previously
-// enqueued on this queue) completes, and every command enqueued after
-// it waits for it. On an in-order queue the barrier is redundant but
-// still recorded.
+// enqueued on this queue) resolves, with the marker's failure rule, and
+// every command enqueued after it waits for it. On an in-order queue
+// the barrier is redundant but still recorded.
 func (q *CommandQueue) EnqueueBarrierWithWaitList(waitList []*Event) (*Event, error) {
 	return q.enqueueAsync(&Event{Kind: "barrier"}, waitList, nil, withImplicitAll(), withBarrier())
 }
@@ -142,10 +144,8 @@ func withBarrier() enqOpt                    { return func(c *enqCfg) { c.barrie
 // out-of-order queue, or a scheduled predecessor still pending — the
 // command goes through the scheduler and the caller waits for it. A
 // failed command, on either path, leaves no trace in history or timing:
-// the in-order edge passes on only its place in the timeline (see the
-// sched package doc), and a failed scheduled command is dropped from
-// the outstanding set, so a later marker or barrier does not wait on
-// it.
+// the in-order edge and an empty-wait-list marker or barrier pass on
+// only its place in the timeline (see the sched package doc).
 func (q *CommandQueue) enqueueSync(ctx context.Context, ev *Event, body cmdBody) (*Event, error) {
 	q.enqMu.Lock()
 	if !q.OutOfOrder() && (q.prev == nil || q.prev.Complete()) {
@@ -158,14 +158,6 @@ func (q *CommandQueue) enqueueSync(ctx context.Context, ev *Event, body cmdBody)
 		return nil, err
 	}
 	if werr := ev.Wait(); werr != nil {
-		q.enqMu.Lock()
-		for i, se := range q.outstanding {
-			if se == ev.se {
-				q.outstanding = append(q.outstanding[:i], q.outstanding[i+1:]...)
-				break
-			}
-		}
-		q.enqMu.Unlock()
 		return nil, werr
 	}
 	return ev, nil
@@ -236,9 +228,9 @@ func (q *CommandQueue) enqueueAsync(ev *Event, waitList []*Event, body cmdBody, 
 		addDep(w.se)
 	}
 	if cfg.implicitAll && len(waitList) == 0 {
-		for _, se := range q.outstanding {
-			addDep(se)
-		}
+		// Like the in-order edge, the implicit set only orders: a
+		// failed command in it does not fail the marker or barrier.
+		c.OrderAfter(q.outstanding...)
 	}
 	if q.OutOfOrder() {
 		addDep(q.barrier)

@@ -805,6 +805,94 @@ func TestAsyncAfterFailedAsyncLaunch(t *testing.T) {
 	}
 }
 
+// TestMarkerBarrierAfterFailedAsync: a failed Async launch is part of
+// the implicit set an empty-wait-list marker or barrier orders after,
+// but like the in-order edge that set only orders, so both succeed,
+// just as they do after a failed sync command.
+func TestMarkerBarrierAfterFailedAsync(t *testing.T) {
+	ctx, gpu := newAsyncCtx(t)
+	const n = 256
+	k, _ := scaleKernel(t, ctx, n)
+	q := ctx.CreateCommandQueue(gpu)
+	nd, err := q.EnqueueNDRangeKernelAsync(k, 1, []int{n}, []int{7}, nil)
+	if err != nil {
+		t.Fatalf("enqueue: %v (want the failure on the event)", err)
+	}
+	if err := nd.Wait(); err == nil {
+		t.Fatal("NDRange with local 7 on global 256 succeeded")
+	}
+	m, err := q.EnqueueMarkerWithWaitList(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Wait(); err != nil {
+		t.Errorf("marker after the failed launch: %v", err)
+	}
+	bar, err := q.EnqueueBarrierWithWaitList(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bar.Wait(); err != nil {
+		t.Errorf("barrier after the failed launch: %v", err)
+	}
+	if err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMarkerBarrierAfterFailedUserEvent: on an out-of-order queue, a
+// command gated on a user event that later fails with SetError fails
+// itself (the wait-list cascades), and so does a marker listing it
+// explicitly. An empty-wait-list marker and barrier enqueued behind it
+// resolve only after it, and succeed.
+func TestMarkerBarrierAfterFailedUserEvent(t *testing.T) {
+	ctx, gpu := newAsyncCtx(t)
+	buf, _ := ctx.CreateBuffer(cl.MemReadWrite, 64, nil)
+	q := ctx.CreateCommandQueueWith(gpu, cl.QueueOutOfOrderExec)
+	gate, err := ctx.CreateUserEvent("gate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := q.EnqueueWriteBufferAsync(buf, 0, []byte{5}, []*cl.Event{gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := q.EnqueueMarkerWithWaitList([]*cl.Event{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := q.EnqueueMarkerWithWaitList(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bar, err := q.EnqueueBarrierWithWaitList(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Complete() || bar.Complete() {
+		t.Fatal("marker or barrier resolved before the gated write")
+	}
+	boom := errors.New("boom")
+	if err := gate.SetError(boom); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Wait(); !errors.Is(err, cl.ErrEventDepFailed) {
+		t.Fatalf("gated write: %v, want ErrEventDepFailed", err)
+	}
+	if err := explicit.Wait(); !errors.Is(err, cl.ErrEventDepFailed) {
+		t.Errorf("marker listing the failed write: %v, want ErrEventDepFailed", err)
+	}
+	if err := m.Wait(); err != nil {
+		t.Errorf("empty-wait-list marker: %v", err)
+	}
+	if err := bar.Wait(); err != nil {
+		t.Errorf("empty-wait-list barrier: %v", err)
+	}
+	if err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQueueConcurrentMixedEnqueues drives one in-order queue from
 // several goroutines at once, each mixing sync and Async launches, so
 // inline and scheduled commands interleave on it. Whatever the

@@ -49,7 +49,6 @@ var (
 // Typed queue-contract errors re-exported from the scheduler so
 // callers can errors.Is against the cl package alone.
 var (
-	ErrEventCycle     = sched.ErrCycle
 	ErrDoubleWait     = sched.ErrDoubleWait
 	ErrOrphanEvent    = sched.ErrOrphanEvent
 	ErrForeignEvent   = sched.ErrForeignEvent

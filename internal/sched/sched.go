@@ -22,7 +22,8 @@
 //	          predecessor; its QUEUED if it failed), or 0 — an
 //	          out-of-order enqueue is instantaneous at simulated
 //	          time zero
-//	SUBMIT  = max(QUEUED, Ended of every wait-list event)
+//	SUBMIT  = max(QUEUED, Ended of every wait-list and OrderAfter
+//	          event)
 //	START   = SUBMIT + dispatch overhead (clamped into [0, Seconds])
 //	END     = SUBMIT + Seconds
 //
@@ -35,9 +36,10 @@
 // # Failure
 //
 // A failed event fails every command that lists it in its wait list
-// (ErrDepFailed wrapping the cause). The QueuedAfter edge only orders:
-// a command never resolves before its in-order predecessor does, but
-// the predecessor's failure is not passed on. A failed command keeps
+// (ErrDepFailed wrapping the cause). The QueuedAfter and OrderAfter
+// edges only order: a command never resolves before its in-order
+// predecessor or its OrderAfter events do, but their failure is not
+// passed on (a failed event ends at 0). A failed command keeps
 // its QUEUED stamp and takes no simulated time, so its in-order
 // successor queues where it would have and QUEUED never goes
 // backwards along a chain.
@@ -238,10 +240,11 @@ type Command struct {
 	run   func() (Outcome, error)
 
 	deps        []*Event
+	orderAfter  []*Event
 	queuedAfter *Event
 	minQueued   float64
 	onComplete  func(*Event)
-	depErr      error // a wait-list event failed; fail once queuedAfter resolves
+	depErr      error // a wait-list event failed; fail once the ordering edges resolve
 
 	ev        *Event
 	seq       int64
@@ -267,6 +270,19 @@ func (c *Command) After(evs ...*Event) *Command {
 	for _, e := range evs {
 		if e != nil {
 			c.deps = append(c.deps, e)
+		}
+	}
+	return c
+}
+
+// OrderAfter adds events the command must not resolve before, without
+// waiting on their outcome: like the QueuedAfter edge, their failure
+// is not passed on. The cl runtime orders an empty-wait-list marker or
+// barrier after the queue's outstanding commands this way.
+func (c *Command) OrderAfter(evs ...*Event) *Command {
+	for _, e := range evs {
+		if e != nil {
+			c.orderAfter = append(c.orderAfter, e)
 		}
 	}
 	return c
@@ -306,11 +322,14 @@ func (c *Command) Lane(id int) *Command {
 	return c
 }
 
-// allDeps invokes fn for every dependency, including the implicit
-// QueuedAfter edge.
+// allDeps invokes fn for every dependency, including the ordering
+// edges (QueuedAfter, OrderAfter).
 func (c *Command) allDeps(fn func(*Event)) {
 	if c.queuedAfter != nil {
 		fn(c.queuedAfter)
+	}
+	for _, d := range c.orderAfter {
+		fn(d)
 	}
 	for _, d := range c.deps {
 		fn(d)
@@ -327,11 +346,19 @@ func (c *Command) waitsOn(e *Event) bool {
 	return false
 }
 
-// predPending reports whether the command's in-order predecessor,
+// predPending reports whether one of the command's ordering edges,
 // other than e, has yet to resolve.
 func (c *Command) predPending(e *Event) bool {
-	qa := c.queuedAfter
-	return qa != nil && qa != e && qa.status < StatusComplete
+	pending := func(d *Event) bool { return d != nil && d != e && d.status < StatusComplete }
+	if pending(c.queuedAfter) {
+		return true
+	}
+	for _, d := range c.orderAfter {
+		if pending(d) {
+			return true
+		}
+	}
+	return false
 }
 
 // Scheduler dispatches submitted commands in topological order on a
@@ -593,7 +620,7 @@ func (s *Scheduler) finishLocked(e *Event, out Outcome, err error, fired *[]*Eve
 		// and the dependency edges so an in-order chain does not keep
 		// every earlier command, and all its body captured, reachable
 		// from the latest event.
-		c.run, c.deps, c.queuedAfter, c.depErr = nil, nil, nil, nil
+		c.run, c.deps, c.orderAfter, c.queuedAfter, c.depErr = nil, nil, nil, nil, nil
 	}
 	if err != nil {
 		e.status = StatusFailed
@@ -620,7 +647,7 @@ func (s *Scheduler) finishLocked(e *Event, out Outcome, err error, fired *[]*Eve
 			s.finishLocked(w.ev, Outcome{}, werr, fired)
 			continue
 		}
-		if e == w.queuedAfter && w.depErr != nil {
+		if w.depErr != nil && !w.predPending(e) {
 			s.finishLocked(w.ev, Outcome{}, w.depErr, fired)
 			continue
 		}

@@ -336,6 +336,44 @@ func TestInOrderFailureOrdersOnly(t *testing.T) {
 	}
 }
 
+// TestOrderAfterOrdersOnly checks the OrderAfter edge: a command
+// resolves only after its OrderAfter events, is released by their
+// failure instead of failed by it, and submits at the latest END among
+// the successful ones. A failure on its wait list still fails it, once
+// the ordering edges resolve.
+func TestOrderAfterOrdersOnly(t *testing.T) {
+	s := sched.New()
+	defer s.Close()
+	boom := errors.New("boom")
+	u := s.NewUserEvent("gate")
+	a := cmd(s, "a", 2, nil).After(u)
+	x := s.NewCommand("x", func() (sched.Outcome, error) { return sched.Outcome{}, boom })
+	m := cmd(s, "m", 0, nil).OrderAfter(a.Event(), x.Event())
+	y := cmd(s, "y", 1, nil).OrderAfter(a.Event()).After(x.Event())
+	if err := s.Submit(a, x, m, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Event().Wait(); !errors.Is(err, boom) {
+		t.Fatalf("x err = %v", err)
+	}
+	if m.Event().Complete() || y.Event().Complete() {
+		t.Fatal("m or y resolved before their OrderAfter event a")
+	}
+	if err := u.SetComplete(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Event().Wait(); err != nil {
+		t.Fatalf("m after a failed OrderAfter event: %v", err)
+	}
+	_, _, _, aEnd := a.Event().Stamps()
+	if _, sub, _, end := m.Event().Stamps(); sub != aEnd || end != aEnd {
+		t.Errorf("m submit %g end %g, want a's END %g", sub, end, aEnd)
+	}
+	if err := y.Event().Wait(); !errors.Is(err, sched.ErrDepFailed) || !errors.Is(err, boom) {
+		t.Fatalf("y err = %v, want ErrDepFailed wrapping boom", err)
+	}
+}
+
 // TestCloseFailsPending checks Close unblocks commands stuck on
 // unsignalled user events with ErrClosed, and is idempotent.
 func TestCloseFailsPending(t *testing.T) {
