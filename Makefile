@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-sched race-device race-cl race-service short bench-admission bench-smoke figures lint trace-smoke trace-golden serve-smoke fuzz-smoke verify
+.PHONY: build vet test race race-sched race-device race-cl race-service short bench-admission bench-smoke figures lint trace-smoke trace-golden serve-smoke examples-smoke fuzz-smoke verify
 
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 30s
@@ -99,6 +99,14 @@ trace-smoke:
 	$(GO) run ./cmd/malisim -bench vecop -scale 0.05 -trace "$$tmp/trace.json" -metrics-out "$$tmp/metrics.json" >/dev/null && \
 	$(GO) run ./cmd/tracecheck -metrics "$$tmp/metrics.json" "$$tmp/trace.json"
 
+# Build and run every example (the main callers of Platform.Measure);
+# a non-zero exit fails verify.
+examples-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for ex in $$(ls examples); do \
+		$(GO) build -o "$$tmp/$$ex" ./examples/$$ex && "$$tmp/$$ex" >/dev/null || exit 1; \
+	done
+
 # Serving-layer smoke test: drive an in-process malid daemon with the
 # nine-benchmark mix over real HTTP under the race detector. The
 # driver exits non-zero on any failed job, any served body that is not
@@ -129,4 +137,4 @@ fuzz-smoke:
 # Full verification: what CI runs. The -short race pass includes the
 # engine differential cross-section; `make test` runs the full
 # matrix (interp oracle vs compiled) plus the IR dump snapshot tests.
-verify: build lint test race race-sched race-device race-cl race-service trace-smoke trace-golden serve-smoke bench-smoke fuzz-smoke
+verify: build lint test race race-sched race-device race-cl race-service trace-smoke trace-golden serve-smoke examples-smoke bench-smoke fuzz-smoke

@@ -28,6 +28,11 @@
 //	q.Finish()
 //	meas, act := p.Measure(q) // board power, energy, device activity
 //
+// Measure prices the region recorded on q since its last ResetEvents
+// with the accounting the figure harness, the autotuner and malid
+// share: the queue's device says whether the GPU ran it, and each
+// unit's utilization is its kernels' busy-time-weighted mean.
+//
 // NewPlatform and NewContext share one functional-option vocabulary:
 // WithArenaBytes sizes the unified memory, WithWorkers sets the
 // parallel NDRange engine's host worker count, WithEngine selects the
@@ -116,10 +121,10 @@
 // goroutine interleaving, so scheduled in-order chains stay
 // bit-identical to inline ones and out-of-order overlap windows
 // reproduce exactly on every host and worker count. Misuse surfaces as typed
-// errors (ErrEventCycle, ErrDoubleWait, ErrOrphanEvent,
-// ErrForeignEvent, ErrNotUserEvent, ErrEventComplete,
-// ErrEventDepFailed), and Queue.FinishCtx detects stalls behind
-// never-signalled user events instead of hanging.
+// errors (ErrDoubleWait, ErrOrphanEvent, ErrForeignEvent,
+// ErrNotUserEvent, ErrEventComplete, ErrEventDepFailed), and
+// Queue.FinishCtx detects stalls behind never-signalled user events
+// instead of hanging.
 //
 // # Reproducing the paper
 //
