@@ -22,7 +22,7 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run Golden -update ./internal/harness`)", err)
+		t.Fatalf("%v (run `go test ./internal/harness -run Golden -update`)", err)
 	}
 	if got != string(want) {
 		t.Errorf("output drifted from %s:\n--- want\n%s\n--- got\n%s", path, want, got)

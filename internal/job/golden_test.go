@@ -40,7 +40,7 @@ func TestMixResultsGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run Golden -update ./internal/job`)", err)
+		t.Fatalf("%v (run `go test ./internal/job -run Golden -update`)", err)
 	}
 	if string(got) != string(want) {
 		t.Errorf("mix results drifted from %s", path)

@@ -34,7 +34,7 @@ func TestReportGolden(t *testing.T) {
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("%v (run `go test -run Golden -update ./internal/tune`)", err)
+				t.Fatalf("%v (run `go test ./internal/tune -run Golden -update`)", err)
 			}
 			if string(got) != string(want) {
 				t.Errorf("%s/%s: report drifted from %s:\n%s", name, prec, path, got)
