@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-sched race-device race-cl race-service short bench-admission bench-smoke figures lint trace-smoke trace-golden serve-smoke examples-smoke fuzz-smoke verify
+.PHONY: build vet test race race-sched race-device race-cl race-service short bench-admission bench-smoke figures lint trace-smoke trace-golden serve-smoke examples-smoke engine-smoke fuzz-smoke verify
 
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 30s
@@ -107,6 +107,25 @@ examples-smoke:
 		$(GO) build -o "$$tmp/$$ex" ./examples/$$ex && "$$tmp/$$ex" >/dev/null || exit 1; \
 	done
 
+# MALIGO_ENGINE is the one engine switch: malitune's JSON reports must
+# be byte-identical on the default engine and on the reference
+# interpreter, and every command must exit 2 on a value that names no
+# engine. Each command line below exits 0 (malid: 1, it cannot listen)
+# on a valid engine, so only the engine check can make it exit 2.
+engine-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && unset MALIGO_ENGINE && \
+	for c in malitune malisim figures malid; do $(GO) build -o "$$tmp/$$c" ./cmd/$$c || exit 1; done && \
+	for b in dmmm vecop; do \
+		"$$tmp/malitune" -bench $$b -scale 0.05 -no-dvfs -json >"$$tmp/$$b.default.json" && \
+		MALIGO_ENGINE=interp "$$tmp/malitune" -bench $$b -scale 0.05 -no-dvfs -json >"$$tmp/$$b.interp.json" && \
+		cmp "$$tmp/$$b.default.json" "$$tmp/$$b.interp.json" || exit 1; \
+	done && \
+	for run in "malitune -list" "malisim -list" "figures -fig 2a -bench vecop -scale 0.01" "malid -addr no-such-address"; do \
+		set -- $$run; c=$$1; shift; \
+		MALIGO_ENGINE=intrep "$$tmp/$$c" "$$@" >/dev/null 2>&1; rc=$$?; \
+		if [ $$rc -ne 2 ]; then echo "$$c: exit $$rc on MALIGO_ENGINE=intrep, want 2"; exit 1; fi; \
+	done
+
 # Serving-layer smoke test: drive an in-process malid daemon with the
 # nine-benchmark mix over real HTTP under the race detector. The
 # driver exits non-zero on any failed job, any served body that is not
@@ -137,4 +156,4 @@ fuzz-smoke:
 # Full verification: what CI runs. The -short race pass includes the
 # engine differential cross-section; `make test` runs the full
 # matrix (interp oracle vs compiled) plus the IR dump snapshot tests.
-verify: build lint test race race-sched race-device race-cl race-service trace-smoke trace-golden serve-smoke examples-smoke bench-smoke fuzz-smoke
+verify: build lint test race race-sched race-device race-cl race-service trace-smoke trace-golden serve-smoke examples-smoke engine-smoke bench-smoke fuzz-smoke

@@ -170,17 +170,10 @@ const (
 	EngineCompiled = vm.EngineCompiled
 )
 
-// ErrUnknownEngine reports an engine name ParseEngine does not know;
-// the malisim/malid -engine flags and strict MALIGO_ENGINE validation
-// surface it instead of silently falling back.
+// ErrUnknownEngine reports a MALIGO_ENGINE value that names no engine;
+// EngineFromEnvStrict returns it, and every command exits 2 with it at
+// startup instead of silently running the default engine.
 var ErrUnknownEngine = vm.ErrUnknownEngine
-
-// ParseEngine parses an engine name: "auto" (or empty), "interp" /
-// "interpreter", "compiled". The malisim, malid, figures and malitune
-// -engine flags accept the same names, as does the MALIGO_ENGINE
-// environment variable. Unknown names return an error wrapping
-// ErrUnknownEngine.
-func ParseEngine(s string) (Engine, error) { return vm.ParseEngine(s) }
 
 // EngineFromEnv returns the engine selected by the MALIGO_ENGINE
 // environment variable, or EngineAuto when unset or unparsable.
@@ -194,7 +187,7 @@ func EngineFromEnvStrict() (Engine, error) { return vm.EngineFromEnvStrict() }
 
 // NewContext creates a standalone context from the same functional
 // options NewPlatform takes (WithDevices, WithArenaBytes,
-// WithWorkers, WithEngine; meter options are ignored) for callers
+// WithWorkers; meter options are ignored) for callers
 // that don't want a full Platform. Its queues need no option for the
 // event model: Async enqueues, wait-lists, user events and
 // out-of-order queues are always available.
@@ -206,7 +199,6 @@ func NewContext(opts ...Option) *Context {
 	clOpts := []cl.ContextOption{
 		cl.WithArenaBytes(c.opts.ArenaBytes),
 		cl.WithWorkers(c.opts.Workers),
-		cl.WithEngine(c.opts.Engine),
 	}
 	if len(c.devices) > 0 {
 		clOpts = append(clOpts, cl.WithDevices(c.devices...))

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	figures [-fig 2a|2b|3a|3b|4a|4b] [-summary] [-scale 1.0] [-bench name,...]
-//	        [-device name] [-workers N] [-engine interp|compiled] [-v]
+//	        [-device name] [-workers N] [-v]
 //	figures -ablations [-scale 1.0]
 //	figures -fleet [-bench name,...] [-device name,...] [-scale 1.0]
 //
@@ -19,8 +19,9 @@
 // (with -device as a comma-separated fleet subset). The simulation shards
 // work-groups across all host CPUs by default (-workers 1 forces the
 // serial engine; the rendered figures are identical either way), and
-// runs kernels on the closure-compiled VM fast path (-engine interp
-// selects the reference interpreter — slower but bit-identical).
+// runs kernels on the closure-compiled VM fast path (MALIGO_ENGINE=interp
+// selects the reference interpreter — slower but bit-identical; an
+// invalid value is rejected at startup).
 package main
 
 import (
@@ -42,23 +43,17 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper-equivalent sizes)")
 		benches = flag.String("bench", "", "comma-separated benchmark subset (default: all nine)")
 		workers = flag.Int("workers", 0, "engine worker goroutines (0 = all host CPUs, 1 = serial engine)")
-		engine  = flag.String("engine", "", "VM execution engine: interp (reference interpreter) or compiled (closure fast path, default); also settable via MALIGO_ENGINE")
 		verify  = flag.Bool("verify", true, "verify kernel results against host references")
 		devName = flag.String("device", "", "board model: "+strings.Join(maligo.DeviceNames(), ", ")+" (default "+maligo.DefaultDeviceName+")")
 		verbose = flag.Bool("v", false, "also print raw per-configuration measurements")
 	)
 	flag.Parse()
+	if _, err := maligo.EngineFromEnvStrict(); err != nil {
+		fmt.Fprintln(os.Stderr, "MALIGO_ENGINE:", err)
+		os.Exit(2)
+	}
 
 	if *fleet {
-		eng, err := maligo.ParseEngine(*engine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		var engines []maligo.Engine
-		if eng != maligo.EngineAuto {
-			engines = []maligo.Engine{eng}
-		}
 		names := maligo.BenchmarkNames()
 		if *benches != "" {
 			names = strings.Split(*benches, ",")
@@ -70,7 +65,6 @@ func main() {
 				Scale:   *scale,
 				Devices: splitDevices(*devName),
 				Workers: *workers,
-				Engines: engines,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
@@ -107,11 +101,6 @@ func main() {
 		return
 	}
 
-	eng, err := maligo.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	soc, err := maligo.LookupDevice(*devName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -122,7 +111,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Verify = *verify
 	cfg.Workers = *workers
-	cfg.Engine = eng
 	cfg.SoC = soc
 	if *benches != "" {
 		cfg.Benchmarks = strings.Split(*benches, ",")

@@ -58,30 +58,24 @@ func main() {
 		cacheN   = flag.Int("cache-entries", 128, "compiled-program LRU capacity")
 		queued   = flag.Int("max-queued", 64, "per-tenant admission queue depth")
 		conc     = flag.Int("max-concurrent", 4, "jobs running at once across all tenants")
-		engine   = flag.String("engine", "", "VM engine: auto, interp, compiled")
 		device   = flag.String("device", "", "board model the daemon simulates (default exynos5250); unknown names refuse startup")
 		analysis = flag.String("analysis", "warn", "static-analysis admission policy: off, warn or error")
 		tenantAn = flag.String("tenant-analysis", "", "per-tenant policy overrides, e.g. ci=error,scratch=off")
 		optimize = flag.Bool("optimize", false, "run the transform pipeline on admitted programs (X-Malid-Optimize reports applied passes)")
 	)
 	flag.Parse()
+	// A daemon with a mistyped MALIGO_ENGINE must refuse to start, not
+	// silently serve every tenant on the default engine.
+	if _, err := maligo.EngineFromEnvStrict(); err != nil {
+		fmt.Fprintln(os.Stderr, "malid: MALIGO_ENGINE:", err)
+		os.Exit(2)
+	}
 
 	tenantPolicies, err := parseTenantPolicies(*tenantAn)
 	if err != nil {
 		log.Fatalf("malid: %v", err)
 	}
 
-	eng, err := maligo.ParseEngine(*engine)
-	if err != nil {
-		log.Fatalf("malid: %v", err)
-	}
-	if eng == maligo.EngineAuto {
-		// A daemon with a mistyped MALIGO_ENGINE must refuse to start,
-		// not silently serve every tenant on the default engine.
-		if _, err := maligo.EngineFromEnvStrict(); err != nil {
-			log.Fatalf("malid: MALIGO_ENGINE: %v", err)
-		}
-	}
 	cfg := maligo.ServerConfig{
 		MaxQueued:      *queued,
 		MaxConcurrent:  *conc,
@@ -94,7 +88,6 @@ func main() {
 	}
 	cfg.Runtime.Workers = *workers
 	cfg.Runtime.ArenaBytes = *arenaMB << 20
-	cfg.Runtime.Engine = eng
 
 	srv, err := maligo.NewServer(cfg)
 	if err != nil {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	malisim -bench dmmm [-version opt] [-prec single] [-scale 1.0] [-workers N]
-//	        [-device exynos5422] [-engine interp|compiled]
+//	        [-device exynos5422]
 //	        [-trace out.json] [-metrics] [-metrics-out m.json] [-hotlines N]
 //
 // -device selects a registered device model (malisim -list names
@@ -15,12 +15,11 @@
 // Versions: serial, omp, cl, opt (paper names: Serial, OpenMP, OpenCL,
 // OpenCL Opt). -workers shards the simulation's work-groups across N
 // host CPUs (default all); the simulated results are identical, only
-// the host wall-clock changes. -engine selects the VM execution engine
-// (the closure-compiled fast path by default, or the reference
-// interpreter with -engine interp; the MALIGO_ENGINE environment
-// variable sets the same choice and an invalid value is rejected at
-// startup) — both engines are bit-identical in every simulated
-// observable.
+// the host wall-clock changes. The MALIGO_ENGINE environment variable
+// selects the VM execution engine (the closure-compiled fast path by
+// default, the reference interpreter with MALIGO_ENGINE=interp); an
+// invalid value is rejected at startup. Both engines are bit-identical
+// in every simulated observable.
 //
 // Observability: -trace writes the measured region's command timeline
 // as Chrome tracing JSON (open in chrome://tracing or
@@ -46,7 +45,6 @@ func main() {
 		prec    = flag.String("prec", "single", "precision: single or double")
 		scale   = flag.Float64("scale", 1.0, "workload scale factor")
 		workers = flag.Int("workers", 0, "engine worker goroutines (0 = all host CPUs, 1 = serial engine)")
-		engine  = flag.String("engine", "", "VM execution engine: interp (reference interpreter) or compiled (closure fast path, default); also settable via MALIGO_ENGINE")
 		devName = flag.String("device", "", "board model: "+strings.Join(maligo.DeviceNames(), ", ")+" (default "+maligo.DefaultDeviceName+")")
 		list    = flag.Bool("list", false, "list benchmarks and device models and exit")
 		lint    = flag.Bool("lint", false, "run the kernel static analyzer over the benchmark's source (all benchmarks when -bench is empty) and exit")
@@ -57,6 +55,11 @@ func main() {
 		hotlines   = flag.Int("hotlines", 0, "profile and print the top-N kernel source lines by bytes moved")
 	)
 	flag.Parse()
+	eng, err := maligo.EngineFromEnvStrict()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "MALIGO_ENGINE:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, b := range maligo.Benchmarks() {
@@ -94,23 +97,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	eng, err := maligo.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	soc, err := maligo.LookupDevice(*devName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if eng == maligo.EngineAuto {
-		// No flag: MALIGO_ENGINE decides, and a typo there is a
-		// startup error, not a silent fall-back to the default engine.
-		if _, err := maligo.EngineFromEnvStrict(); err != nil {
-			fmt.Fprintln(os.Stderr, "MALIGO_ENGINE:", err)
-			os.Exit(2)
-		}
 	}
 
 	cfg := maligo.DefaultExperimentConfig()
@@ -119,7 +109,6 @@ func main() {
 	cfg.Precisions = []maligo.Precision{p}
 	cfg.Workers = *workers
 	cfg.ProfileLines = *hotlines > 0
-	cfg.Engine = eng
 	cfg.SoC = soc
 	res, err := maligo.RunExperiments(cfg)
 	if err != nil {
@@ -136,12 +125,8 @@ func main() {
 	if engineWorkers <= 0 {
 		engineWorkers = runtime.NumCPU()
 	}
-	effEng := eng
-	if effEng == maligo.EngineAuto {
-		effEng = maligo.EngineFromEnv()
-	}
-	engineName := effEng.String()
-	if effEng == maligo.EngineAuto {
+	engineName := eng.String()
+	if eng == maligo.EngineAuto {
 		engineName = "compiled" // the auto default
 	}
 	fmt.Printf("benchmark      %s (%s)\n", *name, maligo.BenchmarkByName(*name).Description())

@@ -10,16 +10,15 @@
 //	malitune -bench dmmm [-prec single] [-scale 0.25]
 //	         [-device exynos5250,exynos5422] [-target cpu,cpu2,gpu]
 //	         [-local 0,32,64] [-passes "none;all"] [-no-dvfs]
-//	         [-engine compiled,interp] [-workers N] [-json]
+//	         [-workers N] [-json]
 //
 // Dimension flags take comma-separated lists; -passes takes
 // semicolon-separated pass sets where "none" runs the kernel as
 // written, "all" the full transform pipeline, and a comma-joined list
-// ("vector,unroll") a subset. Naming more than one -engine makes
-// every candidate a differential test: the extra engines must
-// reproduce the first engine's simulated time, energy and DRAM
-// traffic bit-for-bit or the search fails. The report is
-// byte-identical across runs and -workers settings.
+// ("vector,unroll") a subset. The report is byte-identical across
+// runs, -workers settings and VM engines (MALIGO_ENGINE=interp runs
+// every candidate on the reference interpreter; an invalid value is
+// rejected at startup).
 package main
 
 import (
@@ -53,12 +52,15 @@ func main() {
 		locals  = flag.String("local", "", "comma-separated GPU work-group-size hints (0 = device heuristic)")
 		passes  = flag.String("passes", "", `semicolon-separated transform pass sets: "none", "all" or a comma-joined pass list (default "none;all")`)
 		noDVFS  = flag.Bool("no-dvfs", false, "pin every unit at its nominal operating point")
-		engines = flag.String("engine", "", "comma-separated VM engines; more than one cross-checks candidates bit-for-bit")
 		workers = flag.Int("workers", 0, "engine worker goroutines (0 = all host CPUs); the report is identical at every setting")
 		asJSON  = flag.Bool("json", false, "emit the report as JSON instead of the text table")
 		list    = flag.Bool("list", false, "list benchmarks and devices, then exit")
 	)
 	flag.Parse()
+	if _, err := maligo.EngineFromEnvStrict(); err != nil {
+		fmt.Fprintln(os.Stderr, "malitune: MALIGO_ENGINE:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("benchmarks:")
@@ -106,14 +108,6 @@ func main() {
 			}
 			space.PassSets = append(space.PassSets, set)
 		}
-	}
-	for _, e := range splitList(*engines) {
-		eng, err := maligo.ParseEngine(e)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "malitune:", err)
-			os.Exit(2)
-		}
-		space.Engines = append(space.Engines, eng)
 	}
 
 	rep, err := maligo.Autotune(space)

@@ -35,9 +35,9 @@
 //
 // NewPlatform and NewContext share one functional-option vocabulary:
 // WithArenaBytes sizes the unified memory, WithWorkers sets the
-// parallel NDRange engine's host worker count, WithEngine selects the
-// VM engine, WithDevices picks a standalone context's devices, and
-// WithMeterHz/WithMeterSeed configure the simulated power meter.
+// parallel NDRange engine's host worker count, WithDevices picks a
+// standalone context's devices, and WithMeterHz/WithMeterSeed
+// configure the simulated power meter.
 //
 // # The parallel execution engine
 //
@@ -60,9 +60,10 @@
 //
 // # Execution engines: a two-engine contract
 //
-// Inside each worker, the VM runs kernels on one of two engines
-// (WithEngine, the malisim/malid/figures/malitune -engine flags, or
-// MALIGO_ENGINE):
+// Inside each worker, the VM runs kernels on one of two engines. The
+// MALIGO_ENGINE environment variable is the one switch: unset (or
+// "compiled") runs the fast path, "interp" the reference interpreter.
+// Every context reads it when it is created:
 //
 //   - EngineInterp — the reference switch-dispatch interpreter. Slow,
 //     simple, and the oracle: the compiled engine is defined as
@@ -75,9 +76,11 @@
 // race reports, hot-line attribution, fault messages and step-limit
 // errors. The interpreter stays authoritative; a differential suite
 // (fuzzed kernels plus the full benchmark matrix) enforces the
-// contract, and ParseEngine rejects unknown engine names with
-// ErrUnknownEngine instead of silently falling back (daemons validate
-// MALIGO_ENGINE at startup via EngineFromEnvStrict).
+// contract. The engine changes only the simulator's own wall-clock,
+// never a simulated figure. A MALIGO_ENGINE value that names no engine
+// is an ErrUnknownEngine from EngineFromEnvStrict, and malisim, malid,
+// figures and malitune exit 2 with it at startup instead of silently
+// running the default engine.
 //
 // The same IR that feeds the engines can be written out:
 // internal/clc/backend's IRDump renders the canonical, versioned
@@ -262,10 +265,9 @@
 //	fmt.Print(rep.Render())           // byte-stable table, optima marked
 //	best := rep.EnergyOptimal()       // argmin over supported candidates
 //
-// The report is byte-for-byte deterministic across runs and host
-// worker counts; listing more than one engine in TuneSpace.Engines
-// turns every candidate into a cross-engine differential that fails
-// on the first mismatched bit. cmd/malitune is the CLI
+// The report is byte-for-byte deterministic across runs, host worker
+// counts and VM engines (`make engine-smoke` compares malitune's JSON
+// under MALIGO_ENGINE=interp with the default). cmd/malitune is the CLI
 // (`malitune -bench dmmm -device exynos5250,exynos5422`), and
 // `figures -fleet` renders the fleet-wide placement tables in
 // EXPERIMENTS.md.

@@ -5,56 +5,23 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"maligo"
 )
 
-// TestParseEngineTable pins the engine-name grammar shared by the
-// malisim/malid -engine flags and the MALIGO_ENGINE variable: every
-// accepted spelling, and the typed ErrUnknownEngine for everything
-// else — never a silent fall-back.
-func TestParseEngineTable(t *testing.T) {
-	cases := []struct {
-		in   string
-		want maligo.Engine
-		ok   bool
-	}{
-		{"", maligo.EngineAuto, true},
-		{"auto", maligo.EngineAuto, true},
-		{"interp", maligo.EngineInterp, true},
-		{"interpreter", maligo.EngineInterp, true},
-		{"compiled", maligo.EngineCompiled, true},
-		{" compiled ", maligo.EngineCompiled, true},
-		{"lanes", 0, false},
-		{"lane", 0, false},
-		{"simt", 0, false},
-		{"LANES", 0, false},
-		{"fast", 0, false},
-		{"interp2", 0, false},
-		{"lanes,compiled", 0, false},
-		{"gpu", 0, false},
-	}
-	for _, c := range cases {
-		got, err := maligo.ParseEngine(c.in)
-		if c.ok {
-			if err != nil || got != c.want {
-				t.Errorf("ParseEngine(%q) = %v, %v; want %v, nil", c.in, got, err, c.want)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("ParseEngine(%q) accepted an invalid name as %v", c.in, got)
-			continue
-		}
-		if !errors.Is(err, maligo.ErrUnknownEngine) {
-			t.Errorf("ParseEngine(%q) error %v is not ErrUnknownEngine", c.in, err)
-		}
+// setEngine selects the VM engine through MALIGO_ENGINE for the rest
+// of the test; "" unsets the variable, which runs the default engine.
+func setEngine(t *testing.T, name string) {
+	t.Setenv("MALIGO_ENGINE", name)
+	if name == "" {
+		os.Unsetenv("MALIGO_ENGINE")
 	}
 }
 
 // TestEngineFromEnvStrict checks the startup-time MALIGO_ENGINE
-// validation both daemons run: valid values parse, invalid values are
+// validation every command runs: valid values parse, invalid values are
 // a typed startup error while the lenient reader still degrades to
 // auto for run-time callers.
 func TestEngineFromEnvStrict(t *testing.T) {
@@ -79,13 +46,15 @@ func TestEngineFromEnvStrict(t *testing.T) {
 	}
 }
 
-// TestWithEngineEndToEnd drives the façade with both engines and
-// requires bit-identical output and measurement — the root-package leg
-// of the engine differential contract.
+// TestWithEngineEndToEnd drives the façade on the interpreter oracle
+// (MALIGO_ENGINE=interp) and on the default engine and requires
+// bit-identical output and measurement — the root-package leg of the
+// engine differential contract.
 func TestWithEngineEndToEnd(t *testing.T) {
-	run := func(eng maligo.Engine) ([]byte, maligo.Measurement) {
+	run := func(eng string) ([]byte, maligo.Measurement) {
+		setEngine(t, eng)
 		const n = 1 << 10
-		p := maligo.NewPlatform(maligo.WithWorkers(1), maligo.WithEngine(eng))
+		p := maligo.NewPlatform(maligo.WithWorkers(1))
 		defer p.Close()
 		ctx := p.Context
 		prog := ctx.CreateProgramWithSource(saxpySrc)
@@ -125,38 +94,38 @@ func TestWithEngineEndToEnd(t *testing.T) {
 		return out, meas
 	}
 
-	refOut, refMeas := run(maligo.EngineInterp)
-	out, meas := run(maligo.EngineCompiled)
+	refOut, refMeas := run("interp")
+	out, meas := run("")
 	for i := range refOut {
 		if out[i] != refOut[i] {
 			t.Fatalf("output differs from interp at byte %d", i)
 		}
 	}
 	if meas != refMeas {
-		t.Errorf("measurement differs:\n interp:   %+v\n compiled: %+v", refMeas, meas)
+		t.Errorf("measurement differs:\n interp:  %+v\n default: %+v", refMeas, meas)
 	}
 }
 
 // TestExperimentsEngineIdentity is the malisim leg: RunExperiments —
-// the exact path malisim drives after its -engine flag parses — must
-// produce identical simulated cells under both engines (only
-// HostSeconds, the host wall-clock, may move).
+// the exact path malisim drives — must produce identical simulated
+// cells on the interpreter and the default engine (only HostSeconds,
+// the host wall-clock, may move).
 func TestExperimentsEngineIdentity(t *testing.T) {
-	run := func(eng maligo.Engine) *maligo.Results {
+	run := func(eng string) *maligo.Results {
+		setEngine(t, eng)
 		cfg := maligo.DefaultExperimentConfig()
 		cfg.Scale = 0.1
 		cfg.Benchmarks = []string{"2dcon"}
 		cfg.Precisions = []maligo.Precision{maligo.F32}
 		cfg.Workers = 1
-		cfg.Engine = eng
 		res, err := maligo.RunExperiments(cfg)
 		if err != nil {
-			t.Fatalf("RunExperiments(%v): %v", eng, err)
+			t.Fatalf("RunExperiments(MALIGO_ENGINE=%q): %v", eng, err)
 		}
 		return res
 	}
-	ref := run(maligo.EngineInterp)
-	res := run(maligo.EngineCompiled)
+	ref := run("interp")
+	res := run("")
 	for key, rc := range ref.Cells {
 		gc := res.Cells[key]
 		if gc == nil || rc.Supported != gc.Supported {
@@ -171,18 +140,17 @@ func TestExperimentsEngineIdentity(t *testing.T) {
 	}
 }
 
-// TestServerEngineIdentity is the malid leg: a daemon configured with
-// either engine must serve byte-identical job results. (malid's -engine
-// flag parses with ParseEngine and lands in ServerConfig.Runtime.Engine
-// — this drives that exact path.)
+// TestServerEngineIdentity is the malid leg: a daemon started on the
+// interpreter (MALIGO_ENGINE=interp) or on the default engine must
+// serve byte-identical job results.
 func TestServerEngineIdentity(t *testing.T) {
-	run := func(eng maligo.Engine) []byte {
+	run := func(eng string) []byte {
+		setEngine(t, eng)
 		cfg := maligo.ServerConfig{}
 		cfg.Runtime.Workers = 1
-		cfg.Runtime.Engine = eng
 		srv, err := maligo.NewServer(cfg)
 		if err != nil {
-			t.Fatalf("NewServer(%v): %v", eng, err)
+			t.Fatalf("NewServer(MALIGO_ENGINE=%q): %v", eng, err)
 		}
 		ts := httptest.NewServer(srv.Handler())
 		defer func() { ts.Close(); srv.Close() }()
@@ -191,13 +159,13 @@ func TestServerEngineIdentity(t *testing.T) {
 		spec := maligo.JobMixSpecs()[0]
 		res, err := client.RunJob(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("RunJob(%v): %v", eng, err)
+			t.Fatalf("RunJob(MALIGO_ENGINE=%q): %v", eng, err)
 		}
 		b, _ := json.Marshal(res)
 		return b
 	}
-	ref := run(maligo.EngineInterp)
-	if got := run(maligo.EngineCompiled); string(got) != string(ref) {
-		t.Errorf("served job result differs from interp:\n interp:   %s\n compiled: %s", ref, got)
+	ref := run("interp")
+	if got := run(""); string(got) != string(ref) {
+		t.Errorf("served job result differs from interp:\n interp:  %s\n default: %s", ref, got)
 	}
 }

@@ -9,10 +9,12 @@
 package cl
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -142,7 +144,9 @@ func WithWorkers(n int) ContextOption {
 // vm.EngineCompiled for the closure-compiled fast path. The default
 // (vm.EngineAuto) honours the MALIGO_ENGINE environment variable and
 // otherwise runs the fast path. Both engines produce bit-identical
-// results, reports and traces — only host wall-clock differs.
+// results, reports and traces — only host wall-clock differs. The
+// differential suites use it to run both engines in one process;
+// everything else leaves the choice to MALIGO_ENGINE.
 func WithEngine(e vm.Engine) ContextOption {
 	return func(cfg *contextConfig) { cfg.engine = e }
 }
@@ -276,9 +280,6 @@ func NewContext(devices ...device.Device) *Context {
 
 // Devices returns the context's devices.
 func (c *Context) Devices() []device.Device { return c.devices }
-
-// Engine returns the VM execution engine this context enqueues with.
-func (c *Context) Engine() vm.Engine { return c.engine }
 
 // Arena exposes the unified memory (used by tests and examples to
 // inspect results without going through buffer reads).
@@ -1251,13 +1252,30 @@ func (q *CommandQueue) Flush() error {
 	return nil
 }
 
-// TotalSeconds sums the duration of all recorded events.
+// TotalSeconds is the simulated time the recorded events cover
+// (CoveredSeconds).
 func (q *CommandQueue) TotalSeconds() float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var t float64
-	for _, ev := range q.events {
-		t += ev.Seconds
+	return CoveredSeconds(q.Events())
+}
+
+// CoveredSeconds is the simulated time the events cover, each
+// overlapping stretch counted once. In order of Submitted, an event
+// that starts at or after the covered end adds its whole Seconds, and
+// one that overlaps adds only what it runs past that end. Events of an
+// in-order queue tile the timeline, so there it is the sum of their
+// durations, added in the same order.
+func CoveredSeconds(evs []*Event) float64 {
+	evs = slices.Clone(evs)
+	slices.SortStableFunc(evs, func(a, b *Event) int { return cmp.Compare(a.Submitted, b.Submitted) })
+	var t, end float64
+	for _, ev := range evs {
+		switch {
+		case ev.Submitted >= end:
+			t += ev.Seconds
+		case ev.Ended > end:
+			t += ev.Ended - end
+		}
+		end = max(end, ev.Ended)
 	}
 	return t
 }

@@ -21,15 +21,19 @@
 // power model's Activity. The figure harness, the autotuner, malid
 // and Platform.Measure all price regions through it:
 //
-//   - every command adds its duration to the region's seconds;
+//   - the region's seconds are the time its commands cover
+//     (cl.CoveredSeconds): commands that overlap on an out-of-order
+//     queue count once, and an in-order region adds up its commands'
+//     durations;
 //   - a host-side command (a copy, map or unmap: no device report)
 //     burns one CPU core, and raises CPU utilization to at least 0.4;
 //   - a kernel adds its DRAM bytes, and its busy core-seconds to the
 //     unit that ran it: the GPU when the queue's device is the Mali,
 //     the CPU cluster otherwise. That unit's utilization is the mean of
 //     its kernels' utilizations weighted by their busy core-seconds;
-//   - on a GPU region the host core spins on clFinish for the whole of
-//     every kernel (HostSpinSeconds).
+//   - on a GPU region the host core spins on clFinish for as long as a
+//     kernel runs: HostSpinSeconds is the time the kernels cover, by the
+//     same rule as the region's seconds. Busy core-seconds stay sums.
 package core
 
 import (
@@ -39,7 +43,6 @@ import (
 	"maligo/internal/mali"
 	"maligo/internal/platform"
 	"maligo/internal/power"
-	"maligo/internal/vm"
 )
 
 // Platform is one simulated board: two CPU device views (one core and
@@ -68,10 +71,6 @@ type Options struct {
 	MeterSeed uint64
 	// MeterHz is the power meter's sampling rate.
 	MeterHz float64
-	// Engine selects the VM execution engine (interpreter or the
-	// closure-compiled fast path); zero honours MALIGO_ENGINE and
-	// otherwise runs the fast path.
-	Engine vm.Engine
 	// SoC selects the board model the devices and the power meter are
 	// built from; nil selects the default Exynos 5250. Use
 	// platform.Lookup (maligo.LookupDevice) to resolve a fleet name.
@@ -104,7 +103,6 @@ func NewPlatformWith(o Options) *Platform {
 			cl.WithDevices(cpu1, cpu2, gpu),
 			cl.WithArenaBytes(o.ArenaBytes),
 			cl.WithWorkers(o.Workers),
-			cl.WithEngine(o.Engine),
 		),
 		Meter: power.NewMeterFor(soc, seed, o.MeterHz),
 	}
@@ -133,9 +131,10 @@ func (p *Platform) Measure(q *cl.CommandQueue) (power.Measurement, power.Activit
 // comment. Whether the region ran on the GPU follows from q's device.
 func RegionActivity(q *cl.CommandQueue) power.Activity {
 	_, onGPU := q.Device().(*mali.GPU)
-	var act power.Activity
-	for _, ev := range q.Events() {
-		act.Seconds += ev.Seconds
+	evs := q.Events()
+	act := power.Activity{Seconds: cl.CoveredSeconds(evs)}
+	var kernels []*cl.Event
+	for _, ev := range evs {
 		rep := ev.Report
 		if rep == nil {
 			act.CPUBusyCoreSeconds += ev.Seconds
@@ -147,13 +146,14 @@ func RegionActivity(q *cl.CommandQueue) power.Activity {
 			act.GPUBusyCoreSeconds += rep.BusyCoreSeconds
 			act.GPUUtil = weightedUtil(act.GPUUtil, act.GPUBusyCoreSeconds-rep.BusyCoreSeconds,
 				rep.Utilization, rep.BusyCoreSeconds)
-			act.HostSpinSeconds += ev.Seconds
+			kernels = append(kernels, ev)
 		} else {
 			act.CPUBusyCoreSeconds += rep.BusyCoreSeconds
 			act.CPUUtil = weightedUtil(act.CPUUtil, act.CPUBusyCoreSeconds-rep.BusyCoreSeconds,
 				rep.Utilization, rep.BusyCoreSeconds)
 		}
 	}
+	act.HostSpinSeconds = cl.CoveredSeconds(kernels)
 	return act
 }
 

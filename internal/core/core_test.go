@@ -97,3 +97,92 @@ __kernel void twice(__global float* x, const uint n) {
 		}
 	}
 }
+
+// TestOutOfOrderRegionCountedOnce checks that commands overlapping on
+// an out-of-order queue are priced for the time they cover, not for
+// the sum of their durations: the region's seconds and the host spin
+// are the makespan, while busy core-seconds stay sums.
+func TestOutOfOrderRegionCountedOnce(t *testing.T) {
+	p := core.NewPlatform()
+	defer p.Close()
+	prog := p.Context.CreateProgramWithSource(`
+__kernel void twice(__global float* x) {
+    size_t i = get_global_id(0);
+    x[i] = x[i] * 2.0f;
+}`)
+	if err := prog.Build(""); err != nil {
+		t.Fatal(err)
+	}
+	const size = 1 << 20
+	q := p.Context.CreateCommandQueueWith(p.GPU, cl.QueueOutOfOrderExec)
+	var bufs [2]*cl.Buffer
+	for i := range bufs {
+		b, err := p.Context.CreateBuffer(cl.MemReadWrite, size, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs[i] = b
+	}
+	var evs []*cl.Event
+	for _, b := range bufs {
+		ev, err := q.EnqueueWriteBufferAsync(b, 0, make([]byte, size), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	if err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// makespan is the latest end; both commands start at time zero.
+	makespan := func(evs []*cl.Event) (end, sum float64) {
+		for _, ev := range evs {
+			if ev.Submitted != 0 {
+				t.Fatalf("%s submitted at %g, want 0 (overlap)", ev.Name, ev.Submitted)
+			}
+			end = max(end, ev.Ended)
+			sum += ev.Seconds
+		}
+		return end, sum
+	}
+	end, sum := makespan(evs)
+	_, act := p.Measure(q)
+	if act.Seconds != end || q.TotalSeconds() != end {
+		t.Errorf("writes: Seconds %g, TotalSeconds %g, want the makespan %g (sum %g)", act.Seconds, q.TotalSeconds(), end, sum)
+	}
+	if act.CPUBusyCoreSeconds != sum {
+		t.Errorf("writes: CPUBusyCoreSeconds %g, want the sum %g", act.CPUBusyCoreSeconds, sum)
+	}
+
+	q.ResetEvents()
+	evs = evs[:0]
+	var busy float64
+	for _, b := range bufs {
+		k, err := prog.CreateKernel("twice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.SetArgBuffer(0, b); err != nil {
+			t.Fatal(err)
+		}
+		ev, err := q.EnqueueNDRangeKernelAsync(k, 1, []int{size / 4}, []int{64}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	if err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		busy += ev.Report.BusyCoreSeconds
+	}
+	end, sum = makespan(evs)
+	_, act = p.Measure(q)
+	if act.Seconds != end || act.HostSpinSeconds != end {
+		t.Errorf("kernels: Seconds %g, HostSpinSeconds %g, want the makespan %g (sum %g)", act.Seconds, act.HostSpinSeconds, end, sum)
+	}
+	if act.GPUBusyCoreSeconds != busy {
+		t.Errorf("kernels: GPUBusyCoreSeconds %g, want the sum %g", act.GPUBusyCoreSeconds, busy)
+	}
+}

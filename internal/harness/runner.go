@@ -42,11 +42,6 @@ type Config struct {
 	// of every version: each cell gets the top source lines by bytes
 	// moved. Costs detailed tracing time, so off by default.
 	ProfileLines bool
-	// Engine selects the VM execution engine (vm.EngineInterp for the
-	// reference interpreter, vm.EngineCompiled for the closure-compiled
-	// fast path). The default honours MALIGO_ENGINE and otherwise runs
-	// the fast path; results are bit-identical either way.
-	Engine vm.Engine
 	// SoC selects the board model every benchmark runs on; nil is the
 	// default Exynos 5250 — the paper's platform, on which every
 	// figure band is pinned by TestPaperShape.
@@ -185,7 +180,7 @@ func runBenchmark(cfg Config, res *Results, meter *power.Meter, name string, pre
 	if b == nil {
 		return fmt.Errorf("unknown benchmark %q", name)
 	}
-	p := core.NewPlatformWith(core.Options{Workers: cfg.Workers, Engine: cfg.Engine, SoC: cfg.SoC})
+	p := core.NewPlatformWith(core.Options{Workers: cfg.Workers, SoC: cfg.SoC})
 	defer p.Close()
 	ctx := p.Context
 

@@ -14,7 +14,6 @@ import (
 	"maligo/internal/mali"
 	"maligo/internal/platform"
 	"maligo/internal/power"
-	"maligo/internal/vm"
 )
 
 // Config sizes a Runtime.
@@ -26,9 +25,6 @@ type Config struct {
 	// pool; 0 selects runtime.NumCPU(), 1 disables host parallelism.
 	// Results are bit-identical at every setting.
 	Workers int
-	// Engine selects the VM execution engine (default honours
-	// MALIGO_ENGINE, otherwise the compiled fast path).
-	Engine Engine
 	// MaxIdle bounds the pooled-context free list (default 4).
 	MaxIdle int
 	// SoC selects the board model jobs run on (nil = the default
@@ -36,10 +32,6 @@ type Config struct {
 	// -device, so one daemon serves one board model.
 	SoC *platform.SoC
 }
-
-// Engine aliases the VM engine selector so Runtime users need not
-// import internal/vm.
-type Engine = vm.Engine
 
 // Runtime executes job Specs deterministically: every job runs on
 // fresh device models (cold caches, like the harness gives each
@@ -103,7 +95,6 @@ func (r *Runtime) checkout() *cl.Context {
 	r.mu.Unlock()
 	opts := []cl.ContextOption{
 		cl.WithArenaBytes(r.cfg.ArenaBytes),
-		cl.WithEngine(r.cfg.Engine),
 	}
 	if r.pool != nil {
 		opts = append(opts, cl.WithPool(r.pool))

@@ -59,8 +59,6 @@ var (
 	// ErrClosed reports a submission to (or a wait on) a scheduler
 	// that was shut down.
 	ErrClosed = errors.New("sched: scheduler closed")
-	// ErrCycle reports a wait-list cycle inside a submitted batch.
-	ErrCycle = errors.New("sched: wait-list cycle")
 	// ErrDoubleWait reports the same event appearing twice in one
 	// command's wait list.
 	ErrDoubleWait = errors.New("sched: duplicate event in wait list")
@@ -261,8 +259,7 @@ func (s *Scheduler) NewCommand(label string, run func() (Outcome, error)) *Comma
 	return c
 }
 
-// Event returns the command's completion event (valid before Submit,
-// so batches can wire cross-dependencies).
+// Event returns the command's completion event (valid before Submit).
 func (c *Command) Event() *Event { return c.ev }
 
 // After appends events to the command's wait list.
@@ -416,138 +413,83 @@ func (s *Scheduler) NewUserEvent(label string) *Event {
 	return &Event{s: s, label: label, user: true, done: make(chan struct{})}
 }
 
-// Submit validates a batch of commands and enqueues them atomically:
-// either every command is accepted or none is. Wait-list edges may
-// point at events of commands inside the same batch (that is how the
-// conformance fuzzer builds arbitrary DAGs); cycles, duplicate waits,
+// Submit validates one command and enqueues it. Every dependency must
+// be a user event or the event of an already-submitted command, so the
+// dependency graph is acyclic by construction; duplicate waits,
 // foreign events and orphan dependencies are rejected with typed
 // errors.
-func (s *Scheduler) Submit(cmds ...*Command) error {
+func (s *Scheduler) Submit(c *Command) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	inBatch := make(map[*Command]bool, len(cmds))
-	for _, c := range cmds {
-		if c.s != s {
-			s.mu.Unlock()
-			return fmt.Errorf("command %q: %w", c.label, ErrForeignEvent)
-		}
-		if c.submitted || inBatch[c] {
-			s.mu.Unlock()
-			return fmt.Errorf("command %q submitted twice: %w", c.label, ErrDoubleWait)
-		}
-		inBatch[c] = true
-	}
-	for _, c := range cmds {
-		seen := make(map[*Event]bool, len(c.deps))
-		for _, d := range c.deps {
-			if seen[d] {
-				s.mu.Unlock()
-				return fmt.Errorf("command %q waits twice on %q: %w", c.label, d.label, ErrDoubleWait)
-			}
-			seen[d] = true
-		}
-		var depErr error
-		c.allDeps(func(d *Event) {
-			if depErr != nil {
-				return
-			}
-			switch {
-			case d.s != s:
-				depErr = fmt.Errorf("command %q waits on %q: %w", c.label, d.label, ErrForeignEvent)
-			case !d.user && !d.cmd.submitted && !inBatch[d.cmd]:
-				depErr = fmt.Errorf("command %q waits on unsubmitted %q: %w", c.label, d.label, ErrOrphanEvent)
-			}
-		})
-		if depErr != nil {
-			s.mu.Unlock()
-			return depErr
-		}
-	}
-	if err := checkCycle(cmds, inBatch); err != nil {
+	if c.s != s {
 		s.mu.Unlock()
-		return err
+		return fmt.Errorf("command %q: %w", c.label, ErrForeignEvent)
+	}
+	if c.submitted {
+		s.mu.Unlock()
+		return fmt.Errorf("command %q submitted twice: %w", c.label, ErrDoubleWait)
+	}
+	seen := make(map[*Event]bool, len(c.deps))
+	for _, d := range c.deps {
+		if seen[d] {
+			s.mu.Unlock()
+			return fmt.Errorf("command %q waits twice on %q: %w", c.label, d.label, ErrDoubleWait)
+		}
+		seen[d] = true
+	}
+	var depErr error
+	c.allDeps(func(d *Event) {
+		if depErr != nil {
+			return
+		}
+		switch {
+		case d.s != s:
+			depErr = fmt.Errorf("command %q waits on %q: %w", c.label, d.label, ErrForeignEvent)
+		case !d.user && !d.cmd.submitted:
+			depErr = fmt.Errorf("command %q waits on unsubmitted %q: %w", c.label, d.label, ErrOrphanEvent)
+		}
+	})
+	if depErr != nil {
+		s.mu.Unlock()
+		return depErr
 	}
 
-	// Accepted: assign sequence numbers in argument order and wire the
-	// dependency counts under the same critical section, so no event
-	// can complete between validation and registration.
+	// Accepted: assign the sequence number and wire the dependency
+	// counts under the same critical section, so no event can complete
+	// between validation and registration.
 	var fired []*Event
-	for _, c := range cmds {
-		c.seq = s.nextSeq
-		s.nextSeq++
-		c.submitted = true
-		s.pending[c] = struct{}{}
-		failed := error(nil)
-		c.allDeps(func(d *Event) {
-			switch d.status {
-			case StatusComplete:
-			case StatusFailed:
-				if failed == nil && c.waitsOn(d) {
-					failed = fmt.Errorf("%q waits on failed %q: %w", c.label, d.label, errors.Join(ErrDepFailed, d.err))
-				}
-			default:
-				c.ndeps++
-				d.waiters = append(d.waiters, c)
+	c.seq = s.nextSeq
+	s.nextSeq++
+	c.submitted = true
+	s.pending[c] = struct{}{}
+	failed := error(nil)
+	c.allDeps(func(d *Event) {
+		switch d.status {
+		case StatusComplete:
+		case StatusFailed:
+			if failed == nil && c.waitsOn(d) {
+				failed = fmt.Errorf("%q waits on failed %q: %w", c.label, d.label, errors.Join(ErrDepFailed, d.err))
 			}
-		})
-		switch {
-		case failed != nil && c.predPending(nil):
-			c.depErr = failed
-		case failed != nil:
-			s.finishLocked(c.ev, Outcome{}, failed, &fired)
-		case c.ndeps == 0:
-			s.pushReadyLocked(c)
+		default:
+			c.ndeps++
+			d.waiters = append(d.waiters, c)
 		}
+	})
+	switch {
+	case failed != nil && c.predPending(nil):
+		c.depErr = failed
+	case failed != nil:
+		s.finishLocked(c.ev, Outcome{}, failed, &fired)
+	case c.ndeps == 0:
+		s.pushReadyLocked(c)
 	}
 	s.bumpLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.fire(fired)
-	return nil
-}
-
-// checkCycle runs Kahn's algorithm over the batch-internal dependency
-// edges and reports ErrCycle when some commands can never start.
-func checkCycle(cmds []*Command, inBatch map[*Command]bool) error {
-	indeg := make(map[*Command]int, len(cmds))
-	dependents := make(map[*Command][]*Command, len(cmds))
-	for _, c := range cmds {
-		c.allDeps(func(d *Event) {
-			if d.cmd != nil && inBatch[d.cmd] && !d.cmd.submitted {
-				indeg[c]++
-				dependents[d.cmd] = append(dependents[d.cmd], c)
-			}
-		})
-	}
-	queue := make([]*Command, 0, len(cmds))
-	for _, c := range cmds {
-		if indeg[c] == 0 {
-			queue = append(queue, c)
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		for _, w := range dependents[c] {
-			if indeg[w]--; indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if done != len(cmds) {
-		var stuck []string
-		for _, c := range cmds {
-			if indeg[c] > 0 {
-				stuck = append(stuck, c.label)
-			}
-		}
-		return fmt.Errorf("commands %v: %w", stuck, ErrCycle)
-	}
 	return nil
 }
 

@@ -24,6 +24,16 @@ func cmd(s *sched.Scheduler, label string, seconds float64, ran *[]string) *sche
 	})
 }
 
+// submit submits cmds one at a time, in order.
+func submit(t testing.TB, s *sched.Scheduler, cmds ...*sched.Command) {
+	t.Helper()
+	for _, c := range cmds {
+		if err := s.Submit(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestInOrderChainStamps checks a QueuedAfter chain reproduces the
 // synchronous queue's tiling: QUEUED == SUBMIT == previous END.
 func TestInOrderChainStamps(t *testing.T) {
@@ -33,9 +43,7 @@ func TestInOrderChainStamps(t *testing.T) {
 	a := cmd(s, "a", 1, &ran)
 	b := cmd(s, "b", 2, &ran).QueuedAfter(a.Event()).After(a.Event())
 	c := cmd(s, "c", 3, &ran).QueuedAfter(b.Event()).After(b.Event())
-	if err := s.Submit(a, b, c); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, s, a, b, c)
 	if err := c.Event().Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +69,7 @@ func TestOutOfOrderOverlap(t *testing.T) {
 	a := cmd(s, "a", 5, nil)
 	b := cmd(s, "b", 3, nil)
 	join := s.NewCommand("join", nil).After(a.Event(), b.Event())
-	if err := s.Submit(a, b, join); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, s, a, b, join)
 	if err := join.Event().Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +115,15 @@ func TestTypedErrors(t *testing.T) {
 		b := cmd(s, "b", 1, nil)
 		a.After(b.Event())
 		b.After(a.Event())
-		if err := s.Submit(a, b); !errors.Is(err, sched.ErrCycle) {
-			t.Fatalf("Submit = %v, want ErrCycle", err)
+		if err := s.Submit(a); !errors.Is(err, sched.ErrOrphanEvent) {
+			t.Fatalf("Submit = %v, want ErrOrphanEvent", err)
 		}
 	})
 	t.Run("self-cycle", func(t *testing.T) {
 		a := cmd(s, "a", 1, nil)
 		a.After(a.Event())
-		if err := s.Submit(a); !errors.Is(err, sched.ErrCycle) {
-			t.Fatalf("Submit = %v, want ErrCycle", err)
+		if err := s.Submit(a); !errors.Is(err, sched.ErrOrphanEvent) {
+			t.Fatalf("Submit = %v, want ErrOrphanEvent", err)
 		}
 	})
 	t.Run("double-wait", func(t *testing.T) {
@@ -252,9 +258,7 @@ func TestWaitEventCtxCancel(t *testing.T) {
 		return sched.Outcome{Seconds: 1}, nil
 	})
 	c := cmd(s, "later", 1, nil).After(slow.Event())
-	if err := s.Submit(slow, c); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, s, slow, c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.WaitEvent(ctx, c.Event()); !errors.Is(err, context.Canceled) {
@@ -277,9 +281,7 @@ func TestFailureCascade(t *testing.T) {
 		ran.Store(true)
 		return sched.Outcome{Seconds: 1}, nil
 	}).After(bad.Event())
-	if err := s.Submit(bad, dep); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, s, bad, dep)
 	if err := bad.Event().Wait(); !errors.Is(err, boom) {
 		t.Fatalf("bad err = %v", err)
 	}
@@ -309,9 +311,7 @@ func TestInOrderFailureOrdersOnly(t *testing.T) {
 	b := cmd(s, "b", 1, nil).QueuedAfter(a.Event()).After(x.Event())
 	var ran []string
 	c := cmd(s, "c", 3, &ran).QueuedAfter(b.Event())
-	if err := s.Submit(a, x, b, c); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, s, a, x, b, c)
 	if err := x.Event().Wait(); !errors.Is(err, boom) {
 		t.Fatalf("x err = %v", err)
 	}
@@ -350,9 +350,7 @@ func TestOrderAfterOrdersOnly(t *testing.T) {
 	x := s.NewCommand("x", func() (sched.Outcome, error) { return sched.Outcome{}, boom })
 	m := cmd(s, "m", 0, nil).OrderAfter(a.Event(), x.Event())
 	y := cmd(s, "y", 1, nil).OrderAfter(a.Event()).After(x.Event())
-	if err := s.Submit(a, x, m, y); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, s, a, x, m, y)
 	if err := x.Event().Wait(); !errors.Is(err, boom) {
 		t.Fatalf("x err = %v", err)
 	}
@@ -481,7 +479,10 @@ func (d *dagSpec) writeRegion(mem []byte, i int) {
 }
 
 // run executes the spec on a real scheduler with the given chooser and
-// returns memory, stamps and completion flags.
+// returns memory, stamps and completion flags. Every command waits on
+// one extra user event, signalled after the last Submit, so the
+// chooser sees the whole ready set; a user event ends at 0, so the
+// stamps do not move.
 func (d *dagSpec) run(t testing.TB, chooser func([]int64) int) (mem []byte, stamps [][4]float64, ok []bool) {
 	var opts []sched.Option
 	if chooser != nil {
@@ -492,6 +493,7 @@ func (d *dagSpec) run(t testing.TB, chooser func([]int64) int) (mem []byte, stam
 	mem = make([]byte, d.n*8)
 	cmds := make([]*sched.Command, d.n)
 	prevInQueue := make(map[int]*sched.Event)
+	hold := s.NewUserEvent("hold")
 	var gate *sched.Event
 	for _, g := range d.gated {
 		if g {
@@ -512,7 +514,7 @@ func (d *dagSpec) run(t testing.TB, chooser func([]int64) int) (mem []byte, stam
 				return sched.Outcome{Seconds: d.seconds[i], Dispatch: d.disp[i]}, nil
 			}
 		}
-		c := s.NewCommand(fmt.Sprintf("cmd-%d", i), run)
+		c := s.NewCommand(fmt.Sprintf("cmd-%d", i), run).After(hold)
 		for _, dep := range d.deps[i] {
 			c.After(cmds[dep].Event())
 		}
@@ -528,9 +530,12 @@ func (d *dagSpec) run(t testing.TB, chooser func([]int64) int) (mem []byte, stam
 			prevInQueue[q] = c.Event()
 		}
 		cmds[i] = c
+		if err := s.Submit(c); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
 	}
-	if err := s.Submit(cmds...); err != nil {
-		t.Fatalf("Submit: %v", err)
+	if err := hold.SetComplete(); err != nil {
+		t.Fatalf("SetComplete: %v", err)
 	}
 	if gate != nil {
 		if err := gate.SetComplete(); err != nil {

@@ -31,7 +31,7 @@ func (c Candidate) label() string {
 func (r *Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Autotune %s (%s, scale %g)\n", r.Bench, r.Precision, r.Scale)
-	fmt.Fprintf(&b, "engines: %s; %d candidates\n\n", strings.Join(r.Engines, "="), len(r.Outcomes))
+	fmt.Fprintf(&b, "%d candidates\n\n", len(r.Outcomes))
 	fmt.Fprintf(&b, "%-52s %12s %12s %10s %10s\n",
 		"placement", "time ms", "energy J", "power W", "DRAM MB")
 	for _, i := range sortedOutcomes(r.Outcomes) {

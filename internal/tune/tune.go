@@ -32,7 +32,6 @@ import (
 	"maligo/internal/harness"
 	"maligo/internal/platform"
 	"maligo/internal/power"
-	"maligo/internal/vm"
 )
 
 // Target is a schedulable unit of a SoC.
@@ -82,11 +81,6 @@ type Space struct {
 	// comma-separated pass list (see opt.PassNames) a subset. Empty =
 	// {"", "all"}.
 	PassSets []string
-	// Engines are the VM engines to run each candidate under. The
-	// first engine's numbers score the search; every further engine
-	// must reproduce them bit-for-bit or Run fails. Empty =
-	// {vm.EngineAuto}.
-	Engines []vm.Engine
 	// Workers is the host worker count of the NDRange engine (0 =
 	// all host CPUs). Reports are bit-identical at every setting.
 	Workers int
@@ -133,9 +127,6 @@ type Report struct {
 	Bench     string  `json:"bench"`
 	Precision string  `json:"precision"`
 	Scale     float64 `json:"scale"`
-	// Engines names the engine set; Engines[0] scored the search and
-	// the rest reproduced it bit-for-bit.
-	Engines []string `json:"engines"`
 	// Outcomes holds every candidate in enumeration order.
 	Outcomes []Outcome `json:"outcomes"`
 	// BestEnergy / BestTime index into Outcomes (-1 when no candidate
@@ -248,9 +239,6 @@ func (s *Space) normalize() ([]*platform.SoC, error) {
 			return nil, err
 		}
 	}
-	if len(s.Engines) == 0 {
-		s.Engines = []vm.Engine{vm.EngineAuto}
-	}
 	return socs, nil
 }
 
@@ -294,22 +282,16 @@ func (s *Space) enumerate(socs []*platform.SoC) []Candidate {
 	return out
 }
 
-// Run executes the search: every candidate in the grid, in order,
-// under every engine of the Space.
+// Run executes the search: every candidate in the grid, in order.
 func Run(space Space) (*Report, error) {
 	socs, err := space.normalize()
 	if err != nil {
 		return nil, err
 	}
-	engines := make([]string, len(space.Engines))
-	for i, e := range space.Engines {
-		engines[i] = e.String()
-	}
 	rep := &Report{
 		Bench:      space.Bench,
 		Precision:  space.Precision.String(),
 		Scale:      space.Scale,
-		Engines:    engines,
 		BestEnergy: -1,
 		BestTime:   -1,
 	}
@@ -339,8 +321,8 @@ func Run(space Space) (*Report, error) {
 	return rep, nil
 }
 
-// evaluate runs one candidate under every engine of the space and
-// cross-checks the simulated observables bit-for-bit.
+// evaluate runs one candidate and prices its measured region on the
+// DVFS-derived SoC.
 func evaluate(space Space, soc *platform.SoC, cand Candidate) (*Outcome, error) {
 	out := &Outcome{Candidate: cand}
 	b := bench.ByName(space.Bench)
@@ -360,25 +342,15 @@ func evaluate(space Space, soc *platform.SoC, cand Candidate) (*Outcome, error) 
 	if err != nil {
 		return nil, err
 	}
-	for i, eng := range space.Engines {
-		run, err := measure(space, derived, cand, b, v, eng)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			out.Supported = true
-			out.Seconds = run.Seconds
-			out.EnergyJ = run.EnergyJ
-			out.MeanPowerW = run.MeanPowerW
-			out.DRAMBytes = run.DRAMBytes
-			continue
-		}
-		if run.Seconds != out.Seconds || run.EnergyJ != out.EnergyJ || run.DRAMBytes != out.DRAMBytes {
-			return nil, fmt.Errorf("engine differential: %s disagrees with %s (time %v vs %v, energy %v vs %v, dram %d vs %d)",
-				eng, space.Engines[0], run.Seconds, out.Seconds,
-				run.EnergyJ, out.EnergyJ, run.DRAMBytes, out.DRAMBytes)
-		}
+	act, err := measure(space, derived, cand, b, v)
+	if err != nil {
+		return nil, err
 	}
+	out.Supported = true
+	out.Seconds = act.Seconds
+	out.EnergyJ = power.EnergyOn(derived, act)
+	out.MeanPowerW = power.MeanPowerOn(derived, act)
+	out.DRAMBytes = act.DRAMBytes
 	return out, nil
 }
 
@@ -391,56 +363,41 @@ func derive(soc *platform.SoC, cand Candidate) (*platform.SoC, error) {
 	return soc.AtNamed(cand.Point, "")
 }
 
-// measured is one engine's simulated observables for a candidate.
-type measured struct {
-	Seconds    float64
-	EnergyJ    float64
-	MeanPowerW float64
-	DRAMBytes  uint64
-}
-
-// measure runs the candidate once under one engine: compile (routing
-// GPU candidates through the selected transform passes), measure the
-// steady-state region by the figure harness's protocol
-// (harness.MeasureRegion), verify, and price the activity on the
-// DVFS-derived SoC.
-func measure(space Space, soc *platform.SoC, cand Candidate, b bench.Benchmark, v bench.Version, eng vm.Engine) (*measured, error) {
+// measure runs the candidate once: compile (routing GPU candidates
+// through the selected transform passes), measure the steady-state
+// region by the figure harness's protocol (harness.MeasureRegion) and
+// verify. It returns the region's activity.
+func measure(space Space, soc *platform.SoC, cand Candidate, b bench.Benchmark, v bench.Version) (power.Activity, error) {
 	irProg, err := clc.Compile(space.Bench+".cl", b.Source(), space.Precision.BuildOptions())
 	if err != nil {
-		return nil, err
+		return power.Activity{}, err
 	}
 	if run, only, err := parsePassSet(cand.Passes); err != nil {
-		return nil, err
+		return power.Activity{}, err
 	} else if run && v.IsGPU() {
 		irProg, _, err = opt.OptimizeWith(irProg, only)
 		if err != nil {
-			return nil, err
+			return power.Activity{}, err
 		}
 	}
 
-	p := core.NewPlatformWith(core.Options{Workers: space.Workers, Engine: eng, SoC: soc})
+	p := core.NewPlatformWith(core.Options{Workers: space.Workers, SoC: soc})
 	defer p.Close()
 	if cand.LocalSize > 0 {
 		p.GPU.SetLocalSizeHint(cand.LocalSize)
 	}
 	prog := p.Context.CreateProgramFromIR(irProg, b.Source())
 	if err := b.Setup(p.Context, space.Precision, space.Scale); err != nil {
-		return nil, err
+		return power.Activity{}, err
 	}
 	r, err := harness.MeasureRegion(p.Context.CreateCommandQueue(harness.VersionDevice(p, v)), b, prog, v, false)
 	if err != nil {
-		return nil, err
+		return power.Activity{}, err
 	}
 	if err := b.Verify(space.Precision); err != nil {
-		return nil, fmt.Errorf("verification: %w", err)
+		return power.Activity{}, fmt.Errorf("verification: %w", err)
 	}
-	act := r.Activity
-	return &measured{
-		Seconds:    act.Seconds,
-		EnergyJ:    power.EnergyOn(soc, act),
-		MeanPowerW: power.MeanPowerOn(soc, act),
-		DRAMBytes:  act.DRAMBytes,
-	}, nil
+	return r.Activity, nil
 }
 
 // Targets returns the valid target names in enumeration order.

@@ -3,11 +3,11 @@ package tune
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"maligo/internal/bench"
 	"maligo/internal/platform"
-	"maligo/internal/vm"
 )
 
 // smallSpace is a cheap two-device space used by most properties.
@@ -140,19 +140,23 @@ func TestDVFSMonotonicity(t *testing.T) {
 	}
 }
 
-// TestAutotuneEngineDifferential turns the built-in cross-engine
-// check on: every candidate runs under the interpreter oracle and the
-// compiled engine, and Run fails unless both agree bit-for-bit on
-// every simulated observable the search scores.
+// TestAutotuneEngineDifferential runs the same search on the
+// interpreter oracle (MALIGO_ENGINE=interp) and on the default engine
+// and requires byte-identical JSON reports: every simulated observable
+// the search scores must agree bit-for-bit.
 func TestAutotuneEngineDifferential(t *testing.T) {
-	space := smallSpace()
-	space.Engines = []vm.Engine{vm.EngineInterp, vm.EngineCompiled}
-	rep, err := Run(space)
+	t.Setenv("MALIGO_ENGINE", "interp")
+	interp, err := Run(smallSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Engines) != 2 {
-		t.Fatalf("engines = %v", rep.Engines)
+	os.Unsetenv("MALIGO_ENGINE")
+	def, err := Run(smallSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, interp), mustJSON(t, def)) {
+		t.Errorf("interp and default reports differ:\n--- interp\n%s\n--- default\n%s", interp.Render(), def.Render())
 	}
 }
 

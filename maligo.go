@@ -42,15 +42,6 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.opts.Workers = n }
 }
 
-// WithEngine selects the VM execution engine: EngineInterp for the
-// reference interpreter, EngineCompiled for the closure-compiled fast
-// path. The default (EngineAuto) honours the MALIGO_ENGINE environment
-// variable and otherwise runs the fast path. Results, reports and
-// traces are bit-identical either way.
-func WithEngine(e Engine) Option {
-	return func(c *config) { c.opts.Engine = e }
-}
-
 // WithDevices sets a standalone context's devices (NewContext only; a
 // Platform always carries the Exynos 5250's fixed device set).
 func WithDevices(devices ...Device) Option {
