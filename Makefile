@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-sched race-device race-cl race-service short bench-admission bench-smoke figures lint trace-smoke trace-golden serve-smoke examples-smoke engine-smoke fuzz-smoke verify
+.PHONY: build vet test race race-sched race-device race-cl race-service short bench-admission bench-engine bench-smoke figures lint trace-smoke trace-golden serve-smoke examples-smoke engine-smoke fuzz-smoke verify
 
 # Per-target budget for the fuzz smoke pass.
 FUZZTIME ?= 30s
@@ -71,6 +71,15 @@ bench-smoke:
 BENCHTIME ?= 1s
 bench-admission:
 	$(GO) test -run xxx -bench BenchmarkColdAdmission -benchmem -benchtime $(BENCHTIME) ./internal/service/progcache
+
+# Layer-level cost of VM execution: one work-group per iteration of
+# each engine benchmark kernel (multiply-accumulate loop, strided sum,
+# barrier reduction, CSR-style gather) under the interpreter and the
+# compiled engine, ten times over, so a change to either engine's hot
+# path has before/after distributions to compare. bench-smoke runs one
+# iteration in verify.
+bench-engine:
+	$(GO) test -run xxx -bench BenchmarkEngine -benchmem -count 10 -benchtime $(BENCHTIME) ./internal/vm
 
 # Static checks: Go hygiene, the repository self-lint (no unexplained
 # map iteration or time.Now in deterministic paths — cmd/repolint),

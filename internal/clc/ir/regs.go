@@ -5,7 +5,12 @@ import "maligo/internal/clc/builtin"
 // The exported register def/use model. The optimizer's dead-code pass
 // keeps its own map-based accounting (collectReads); this structured
 // form is what CFG-level analyses (internal/clc/analysis/dataflow)
-// build def-use chains from. Keep the two in sync when adding opcodes.
+// build def-use chains from, and what the VM's compiled engine
+// computes register liveness from (internal/vm/runopt.go) to drop
+// dead register writes. That consumer relies on Uses never
+// under-reporting a read: a read Uses misses makes the VM drop the
+// write that feeds it, and the engines diverge. Over-reporting is
+// safe everywhere. Keep the two in sync when adding opcodes.
 
 // Register banks.
 const (
@@ -54,87 +59,101 @@ func Def(in *Instr) (RegRef, bool) {
 	return RegRef{}, false
 }
 
+// Operand fields of an Instr, as UsesField names them.
+const (
+	FieldA = iota
+	FieldB
+	FieldC
+	FieldD
+)
+
 // Uses invokes fn for every register range an instruction reads.
 func Uses(in *Instr, fn func(RegRef)) {
+	UsesField(in, func(_ int, r RegRef) { fn(r) })
+}
+
+// UsesField is Uses that also names the operand field (FieldA…FieldD)
+// holding each range's first slot.
+func UsesField(in *Instr, fn func(field int, r RegRef)) {
 	w := instrWidth(in)
-	i := func(s, n int32) { fn(RegRef{BankI, s, n}) }
-	f := func(s, n int32) { fn(RegRef{BankF, s, n}) }
+	i := func(f int, s, n int32) { fn(f, RegRef{BankI, s, n}) }
+	f := func(fl int, s, n int32) { fn(fl, RegRef{BankF, s, n}) }
 	switch in.Op {
 	case MovI:
-		i(in.B, w)
+		i(FieldB, in.B, w)
 	case MovF:
-		f(in.B, w)
+		f(FieldB, in.B, w)
 	case BcastI:
-		i(in.B, 1)
+		i(FieldB, in.B, 1)
 	case BcastF:
-		f(in.B, 1)
+		f(FieldB, in.B, 1)
 	case AddI, SubI, MulI, DivI, RemI, AndI, OrI, XorI, ShlI, ShrI,
 		CmpEqI, CmpNeI, CmpLtI, CmpLeI:
-		i(in.B, w)
-		i(in.C, w)
+		i(FieldB, in.B, w)
+		i(FieldC, in.C, w)
 	case NegI, NotI, CvtII:
-		i(in.B, w)
+		i(FieldB, in.B, w)
 	case AddF, SubF, MulF, DivF, CmpEqF, CmpNeF, CmpLtF, CmpLeF:
-		f(in.B, w)
-		f(in.C, w)
+		f(FieldB, in.B, w)
+		f(FieldC, in.C, w)
 	case NegF, CvtFF:
-		f(in.B, w)
+		f(FieldB, in.B, w)
 	case CvtIF:
-		i(in.B, w)
+		i(FieldB, in.B, w)
 	case CvtFI:
-		f(in.B, w)
+		f(FieldB, in.B, w)
 	case SelI:
-		i(in.B, w)
-		i(in.C, w)
-		i(in.D, w)
+		i(FieldB, in.B, w)
+		i(FieldC, in.C, w)
+		i(FieldD, in.D, w)
 	case SelF:
-		i(in.B, w)
-		f(in.C, w)
-		f(in.D, w)
+		i(FieldB, in.B, w)
+		f(FieldC, in.C, w)
+		f(FieldD, in.D, w)
 	case LoadI, LoadF:
-		i(in.B, 1)
+		i(FieldB, in.B, 1)
 	case StoreI:
-		i(in.A, w)
-		i(in.B, 1)
+		i(FieldA, in.A, w)
+		i(FieldB, in.B, 1)
 	case StoreF:
-		f(in.A, w)
-		i(in.B, 1)
+		f(FieldA, in.A, w)
+		i(FieldB, in.B, 1)
 	case CallB:
 		id := builtin.ID(in.Imm)
 		switch {
 		case id.IsWorkItemQuery():
-			i(in.B, 1)
+			i(FieldB, in.B, 1)
 		case id == builtin.GetWorkDim:
 		case id == builtin.Min || id == builtin.Max || id == builtin.Abs ||
 			id == builtin.Clamp:
 			if in.Base.IsFloat() {
-				f(in.B, w)
-				f(in.C, w)
-				f(in.D, w)
+				f(FieldB, in.B, w)
+				f(FieldC, in.C, w)
+				f(FieldD, in.D, w)
 			} else {
-				i(in.B, w)
-				i(in.C, w)
-				i(in.D, w)
+				i(FieldB, in.B, w)
+				i(FieldC, in.C, w)
+				i(FieldD, in.D, w)
 			}
 		case id == builtin.Select:
 			if in.Base.IsFloat() {
-				f(in.B, w)
-				f(in.C, w)
+				f(FieldB, in.B, w)
+				f(FieldC, in.C, w)
 			} else {
-				i(in.B, w)
-				i(in.C, w)
+				i(FieldB, in.B, w)
+				i(FieldC, in.C, w)
 			}
-			i(in.D, w)
+			i(FieldD, in.D, w)
 		default:
-			f(in.B, w)
-			f(in.C, w)
-			f(in.D, w)
+			f(FieldB, in.B, w)
+			f(FieldC, in.C, w)
+			f(FieldD, in.D, w)
 		}
 	case AtomicOp:
-		i(in.B, 1)
-		i(in.C, 1)
-		i(in.D, 1)
+		i(FieldB, in.B, 1)
+		i(FieldC, in.C, 1)
+		i(FieldD, in.D, 1)
 	case JmpIf, JmpIfZ:
-		i(in.B, 1)
+		i(FieldB, in.B, 1)
 	}
 }

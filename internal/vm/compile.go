@@ -20,7 +20,12 @@ import (
 // array (a tight switch, no per-instruction dispatch or call), with
 // their profile contribution folded into one precomputed delta;
 // effectful instructions (memory, builtins, atomics, control flow)
-// keep exact per-instruction bookkeeping. The compiled engine must be
+// keep exact per-instruction bookkeeping. A run dispatches fewer
+// instructions than it counts: runopt.go rewrites it against the
+// kernel's register liveness (immediates fold into consumers, moves
+// coalesce, dead writes drop, multiply/add and index-address chains
+// fuse), while its profile delta, step counts and limit checks stay
+// those of the IR instructions. The compiled engine must be
 // observationally identical to the interpreter in exec.go — same
 // memory effects, same Profile counts, same observer callback order,
 // same errors at the same points — so every execution body mirrors
@@ -102,6 +107,20 @@ const (
 	pShrS64
 	pShrS32
 
+	// Immediate-operand forms (runOpt.forward): the right operand is the
+	// constant imm (shift amounts pre-masked). A subtraction of an
+	// immediate runs as an addition of its negation.
+	pAddI64K
+	pAddI32K
+	pAddU32K
+	pMulI64K
+	pMulI32K
+	pMulU32K
+	pShlI64K
+	pShlI32K
+	pShrS64K
+	pShrS32K
+
 	pAddF32
 	pSubF32
 	pMulF32
@@ -112,16 +131,23 @@ const (
 	pDivF64
 	pNegF32
 	pNegF64
+	pAddF32K // the right operand is the constant fimm
+	pMulF32K
+	pAddF64K
+	pMulF64K
 
-	// Fused multiply-add pairs (fuseRun): the product lands in a, the
-	// sum of the product and register imm lands in d. The F kinds keep
-	// the add's operand order (L: product left, R: product right).
+	// Fused multiply-add pairs (runOpt.fuse): a ← b*c + d, for a product
+	// that dies at the add, so it is never written. The F kinds keep the
+	// add's operand order (L: product left, R: product right).
 	pMaddI64
 	pMaddI32
 	pMaddF32L
 	pMaddF32R
 	pMaddF64L
 	pMaddF64R
+	// Fused index address: a ← c + b*imm, the 64-bit scaled index
+	// added to a base (the chain in front of every array access).
+	pMaddKI64
 
 	pCmpEqI
 	pCmpNeI
@@ -133,6 +159,16 @@ const (
 	pCmpNeF
 	pCmpLtF
 	pCmpLeF
+	pCmpEqIK // compares against the constant imm / fimm
+	pCmpNeIK
+	pCmpLtSK
+	pCmpLtUK
+	pCmpLeSK
+	pCmpLeUK
+	pCmpEqFK
+	pCmpNeFK
+	pCmpLtFK
+	pCmpLeFK
 
 	pSelI
 	pSelF
@@ -157,8 +193,11 @@ const (
 	// Scalar memory accesses, inlined into the block program so a
 	// straight-line body runs under one switch loop. These are
 	// effectful: each syncs the deferred step/pc bookkeeping (pre) and
-	// can fault. a = value register, b = address register, size is the
-	// element size, d the source line for observers.
+	// can fault. a = value register, size is the element size, d the
+	// source line for observers. The address is ii[b] + ii[c]*imm: a
+	// plain register address has c = b and imm 0, and runOpt.fuse folds
+	// a scaled index chain whose result dies at the access into base b,
+	// index c and scale imm.
 	pLoadF32
 	pLoadF64
 	pLoadInt
@@ -193,10 +232,12 @@ var errYield = errors.New("vm: yield")
 // Compiled is the closure-compiled form of one kernel, cached on the
 // ir.Kernel via its CompiledForm slot.
 type Compiled struct {
-	k      *ir.Kernel
-	ops    []cop
-	blocks int
-	fused  int
+	k        *ir.Kernel
+	ops      []cop
+	blocks   int
+	fused    int
+	runSlots int
+	elided   int
 }
 
 // NumOps returns the compiled program length (one slot per IR
@@ -213,6 +254,17 @@ func (c *Compiled) Blocks() int { return c.blocks }
 // program relative to instruction-at-a-time execution.
 func (c *Compiled) Fused() int { return c.fused }
 
+// RunSlots returns the number of IR instructions inside the blocks'
+// pure runs (pure register instructions and inline scalar accesses).
+func (c *Compiled) RunSlots() int { return c.runSlots }
+
+// Elided returns how many of the RunSlots instructions the compiled
+// runs do not dispatch: dropped as dead, folded into a consumer as an
+// immediate, coalesced into a producer, or fused into a multiply-add
+// or into the memory access it addresses. They are still counted in
+// the profile and against the step limit.
+func (c *Compiled) Elided() int { return c.elided }
+
 // compiledFor returns the kernel's cached compiled program, compiling
 // on first use. Concurrent first users may compile twice; the result
 // is a pure function of the kernel, so whichever store wins is
@@ -228,26 +280,30 @@ func compiledFor(k *ir.Kernel) *Compiled {
 
 // CompileKernel translates the kernel IR into its closure program:
 // per-instruction units first, then one superinstruction closure per
-// multi-instruction basic block. Exported for the engine benchmarks
+// multi-instruction basic block, whose pure runs are rewritten against
+// the kernel's register liveness. Exported for the engine benchmarks
 // and equivalence tests; normal execution goes through the per-kernel
 // cache.
 func CompileKernel(k *ir.Kernel) *Compiled {
 	code := k.Code
 	n := len(code)
-	ops := make([]cop, n)
-	pures := make([]pIns, n)
-	deltas := make([]pureDelta, n)
-	isPure := make([]bool, n)
-	isInline := make([]bool, n)
+	kc := &kernelCompiler{
+		code:     code,
+		ops:      make([]cop, n),
+		pures:    make([]pIns, n),
+		deltas:   make([]pureDelta, n),
+		isPure:   make([]bool, n),
+		isInline: make([]bool, n),
+	}
 	for i := range code {
 		if p, d, ok := genPure(&code[i]); ok {
-			pures[i], deltas[i], isPure[i] = p, d, true
-			ops[i] = standaloneOp(p, d)
+			kc.pures[i], kc.deltas[i], kc.isPure[i] = p, d, true
+			kc.ops[i] = standaloneOp(p, d)
 			continue
 		}
-		ops[i] = genOp(&code[i])
+		kc.ops[i] = genOp(&code[i])
 		if p, ok := genInline(&code[i]); ok {
-			pures[i], isInline[i] = p, true
+			kc.pures[i], kc.isInline[i] = p, true
 		}
 	}
 
@@ -274,21 +330,43 @@ func CompileKernel(k *ir.Kernel) *Compiled {
 			isStart[i+1] = true
 		}
 	}
-
-	blocks, fused := 0, 0
-	for start := 0; start < n; {
-		end := start + 1
-		for end < n && !isStart[end] {
-			end++
+	var starts []int
+	for i := 0; i < n; i++ {
+		if isStart[i] {
+			starts = append(starts, i)
 		}
-		blocks++
-		if end-start > 1 {
-			fused += end - start - 1
-			ops[start] = compileBlock(pures, deltas, isPure, isInline, ops, start, end)
-		}
-		start = end
 	}
-	return &Compiled{k: k, ops: ops, blocks: blocks, fused: fused}
+
+	c := &Compiled{k: k, ops: kc.ops, blocks: len(starts)}
+	kc.sp = newRegSpace(k)
+	kc.opt = newRunOpt(kc.sp)
+	kc.live = make(regBits, kc.sp.words)
+	outs := kernelLiveOut(code, starts, &kc.sp)
+	for b, start := range starts {
+		end := n
+		if b+1 < len(starts) {
+			end = starts[b+1]
+		}
+		if end-start > 1 {
+			c.fused += end - start - 1
+			kc.ops[start] = kc.compileBlock(c, start, end, outs[b])
+		}
+	}
+	return c
+}
+
+// kernelCompiler holds one kernel's per-instruction compile results and
+// the liveness scratch its blocks share.
+type kernelCompiler struct {
+	code     []ir.Instr
+	ops      []cop
+	pures    []pIns
+	deltas   []pureDelta
+	isPure   []bool
+	isInline []bool
+	sp       regSpace
+	opt      *runOpt
+	live     regBits
 }
 
 // Block bookkeeping. The dispatch loop has already accounted the
@@ -314,10 +392,22 @@ func CompileKernel(k *ir.Kernel) *Compiled {
 //     the interpreter stopped, but every caller discards the profile
 //     and all VM state when RunGroup fails, so the two engines remain
 //     observationally identical;
+//   - the run's length, its inline accesses' pre counts and its
+//     profile delta are all taken from the IR instructions before
+//     runOpt rewrites the run, so an instruction that is dropped,
+//     folded into a consumer, coalesced into a producer or fused still
+//     counts exactly where the interpreter counts it, and every limit
+//     check sees the interpreter's step count. What a rewrite changes
+//     is only which registers hold which values at points inside the
+//     run: every value that reaches an observable (an address, a
+//     stored value, a branch condition, a builtin operand) is the
+//     interpreter's, and registers dead at a point are never read
+//     again. On the deferred error path the registers are discarded
+//     like the rest of the VM state;
 //   - the summed profile delta of all the block's pure instructions is
 //     applied once per execution, up front — on success every pure op
-//     ran (control ops only end blocks), and on failure the profile is
-//     discarded.
+//     was accounted (control ops only end blocks), and on failure the
+//     profile is discarded.
 
 // countEff performs the in-block dispatch bookkeeping for one
 // effectful instruction. It reports false when the step limit tripped,
@@ -343,8 +433,9 @@ type bpart struct {
 }
 
 // compileBlock builds the superinstruction closure for the block
-// code[start:end]: pure runs (multiply-add pairs fused) and inline
-// scalar memory accesses merge into contiguous pIns segments, the
+// code[start:end], given the registers live on its exit: pure runs and
+// inline scalar memory accesses merge into contiguous pIns segments,
+// each rewritten by runOpt against the registers live at its exit, the
 // remaining effectful instructions stay closure parts, and all the
 // step/pc bookkeeping is resolved at compile time.
 //
@@ -352,35 +443,63 @@ type bpart struct {
 // accounted at each point: the dispatch loop pre-counts the first
 // (acc starts at 1), every inline memory access syncs its own pre
 // count, each segment flushes its unaccounted tail through ki, and
-// closure parts count themselves through the counted flag.
-func compileBlock(pures []pIns, deltas []pureDelta, isPure, isInline []bool, ops []cop, start, end int) cop {
+// closure parts count themselves through the counted flag. All of it
+// counts IR instructions, so it is fixed before any rewriting.
+func (kc *kernelCompiler) compileBlock(c *Compiled, start, end int, out regBits) cop {
+	type span struct {
+		part, from, to int
+		ents           []rEnt
+	}
 	var parts []bpart
+	var runs []span
 	var total pureDelta
 	acc := 1 // instructions accounted so far (dispatch counts the first)
 	idx := 0 // instruction index within the block
 	for i := start; i < end; {
-		if isPure[i] || isInline[i] {
-			var ps []pIns
-			for i < end && (isPure[i] || isInline[i]) {
-				in := pures[i]
-				if isPure[i] {
-					total.accum(&deltas[i])
+		if kc.isPure[i] || kc.isInline[i] {
+			sp := span{part: len(parts), from: i}
+			for i < end && (kc.isPure[i] || kc.isInline[i]) {
+				in := kc.pures[i]
+				if kc.isPure[i] {
+					total.accum(&kc.deltas[i])
 				} else {
 					in.pre = uint16(idx + 1 - acc)
 					acc = idx + 1
 				}
-				ps = append(ps, in)
+				sp.ents = append(sp.ents, rEnt{p: in, in: &kc.code[i], r: fieldRoles(&kc.code[i])})
 				idx++
 				i++
 			}
-			parts = append(parts, bpart{run: fuseRun(ps), ki: idx - acc})
+			sp.to = i
+			runs = append(runs, sp)
+			parts = append(parts, bpart{ki: idx - acc})
 			acc = idx
 			continue
 		}
-		parts = append(parts, bpart{eff: ops[i], counted: acc != idx+1})
+		parts = append(parts, bpart{eff: kc.ops[i], counted: acc != idx+1})
 		acc = idx + 1
 		idx++
 		i++
+	}
+
+	// Walk the block backward from its live-out set, rewriting each run
+	// against the registers live where it exits.
+	live := kc.live
+	copy(live, out)
+	pos := end
+	for r := len(runs) - 1; r >= 0; r-- {
+		sp := &runs[r]
+		for i := pos - 1; i >= sp.to; i-- {
+			kc.sp.transfer(&kc.code[i], live)
+		}
+		run := kc.opt.optimize(sp.ents, live)
+		parts[sp.part].run = run
+		c.runSlots += sp.to - sp.from
+		c.elided += sp.to - sp.from - len(run)
+		for i := sp.to - 1; i >= sp.from; i-- {
+			kc.sp.transfer(&kc.code[i], live)
+		}
+		pos = sp.from
 	}
 	return blockOp(parts, total)
 }
@@ -394,6 +513,18 @@ func blockOp(parts []bpart, total pureDelta) cop {
 		run, ki := parts[0].run, parts[0].ki
 		k := uint64(ki)
 		eff := parts[1].eff
+		if len(run) == 0 {
+			return func(r *groupRunner, st *wiState) error {
+				total.add(r.prof)
+				st.pc += ki
+				r.steps += k
+				r.prof.Instrs += k
+				if !r.countEff(st) {
+					return ErrStepLimit
+				}
+				return eff(r, st)
+			}
+		}
 		return func(r *groupRunner, st *wiState) error {
 			total.add(r.prof)
 			if err := runPure(r, st, run); err != nil {
@@ -413,8 +544,10 @@ func blockOp(parts []bpart, total pureDelta) cop {
 		for i := range parts {
 			p := &parts[i]
 			if p.eff == nil {
-				if err := runPure(r, st, p.run); err != nil {
-					return err
+				if len(p.run) > 0 {
+					if err := runPure(r, st, p.run); err != nil {
+						return err
+					}
 				}
 				st.pc += p.ki
 				r.steps += uint64(p.ki)
@@ -434,50 +567,26 @@ func blockOp(parts []bpart, total pureDelta) cop {
 	}
 }
 
-// fuseRun peepholes a pure run: a multiply directly followed by an add
-// that consumes its result becomes one multiply-add superinstruction
-// (both destinations still written, so later readers of the product
-// are unaffected). The run's instruction and profile accounting uses
-// the pre-fusion length — fusion only removes dispatch iterations.
-func fuseRun(ps []pIns) []pIns {
-	out := make([]pIns, 0, len(ps))
-	for i := 0; i < len(ps); i++ {
-		if i+1 < len(ps) {
-			if f, ok := fusePair(&ps[i], &ps[i+1]); ok {
-				out = append(out, f)
-				i++
-				continue
-			}
-		}
-		out = append(out, ps[i])
-	}
-	return out
-}
-
-// fusePair fuses mul+add when the add reads the product. Integer
-// addition commutes exactly, so one kind covers both operand orders;
-// float kinds preserve the operand order to keep NaN propagation
-// bit-identical to the interpreter. The second add operand's register
-// travels in imm.
+// fusePair fuses a multiply with the add right after it when the add
+// reads the product once (the caller checks the product dies there).
+// Integer addition commutes exactly, so one kind covers both operand
+// orders; float kinds preserve the operand order to keep NaN
+// propagation bit-identical to the interpreter.
 func fusePair(m, a *pIns) (pIns, bool) {
+	var add pKind
 	switch m.kind {
-	case pMulI64:
-		if a.kind != pAddI64 {
-			return pIns{}, false
-		}
+	case pMulI64, pMulI64K:
+		add = pAddI64
 	case pMulI32:
-		if a.kind != pAddI32 {
-			return pIns{}, false
-		}
+		add = pAddI32
 	case pMulF32:
-		if a.kind != pAddF32 {
-			return pIns{}, false
-		}
+		add = pAddF32
 	case pMulF64:
-		if a.kind != pAddF64 {
-			return pIns{}, false
-		}
+		add = pAddF64
 	default:
+		return pIns{}, false
+	}
+	if a.kind != add || a.b == a.c {
 		return pIns{}, false
 	}
 	var other int32
@@ -490,8 +599,10 @@ func fusePair(m, a *pIns) (pIns, bool) {
 	default:
 		return pIns{}, false
 	}
-	f := pIns{a: m.a, b: m.b, c: m.c, d: a.a, imm: int64(other)}
+	f := pIns{a: a.a, b: m.b, c: m.c, d: other}
 	switch m.kind {
+	case pMulI64K:
+		f = pIns{kind: pMaddKI64, a: a.a, b: m.b, c: other, imm: m.imm}
 	case pMulI64:
 		f.kind = pMaddI64
 	case pMulI32:
@@ -537,6 +648,13 @@ func (r *groupRunner) syncEff(st *wiState, pre uint16) bool {
 	return true
 }
 
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // runPure executes one pre-decoded block-program segment: pure
 // instructions plus inline scalar memory accesses. The switch bodies
 // mirror the interpreter cases in exec.go exactly (wrapping, float32
@@ -555,7 +673,7 @@ func runPure(r *groupRunner, st *wiState, ins []pIns) error {
 			if !r.syncEff(st, in.pre) {
 				return ErrStepLimit
 			}
-			addr := ii[in.b]
+			addr := ii[in.b] + ii[in.c]*in.imm
 			space, off := ir.DecodeAddr(addr)
 			size := int(in.size)
 			p := r.prof
@@ -598,7 +716,7 @@ func runPure(r *groupRunner, st *wiState, ins []pIns) error {
 			if !r.syncEff(st, in.pre) {
 				return ErrStepLimit
 			}
-			addr := ii[in.b]
+			addr := ii[in.b] + ii[in.c]*in.imm
 			space, off := ir.DecodeAddr(addr)
 			size := int(in.size)
 			p := r.prof
@@ -678,6 +796,26 @@ func runPure(r *groupRunner, st *wiState, ins []pIns) error {
 			ii[in.a] = ii[in.b] >> (uint64(ii[in.c]) & 63)
 		case pShrS32:
 			ii[in.a] = int64(int32(ii[in.b] >> (uint64(ii[in.c]) & 31)))
+		case pAddI64K:
+			ii[in.a] = ii[in.b] + in.imm
+		case pAddI32K:
+			ii[in.a] = int64(int32(ii[in.b] + in.imm))
+		case pAddU32K:
+			ii[in.a] = int64(uint32(ii[in.b] + in.imm))
+		case pMulI64K:
+			ii[in.a] = ii[in.b] * in.imm
+		case pMulI32K:
+			ii[in.a] = int64(int32(ii[in.b] * in.imm))
+		case pMulU32K:
+			ii[in.a] = int64(uint32(ii[in.b] * in.imm))
+		case pShlI64K:
+			ii[in.a] = ii[in.b] << uint64(in.imm)
+		case pShlI32K:
+			ii[in.a] = int64(int32(ii[in.b] << uint64(in.imm)))
+		case pShrS64K:
+			ii[in.a] = ii[in.b] >> uint64(in.imm)
+		case pShrS32K:
+			ii[in.a] = int64(int32(ii[in.b] >> uint64(in.imm)))
 
 		case pAddF32:
 			ff[in.a] = float64(float32(ff[in.b] + ff[in.c]))
@@ -699,31 +837,34 @@ func runPure(r *groupRunner, st *wiState, ins []pIns) error {
 			ff[in.a] = float64(float32(-ff[in.b]))
 		case pNegF64:
 			ff[in.a] = -ff[in.b]
+		case pAddF32K:
+			ff[in.a] = float64(float32(ff[in.b] + in.fimm))
+		case pMulF32K:
+			ff[in.a] = float64(float32(ff[in.b] * in.fimm))
+		case pAddF64K:
+			ff[in.a] = ff[in.b] + in.fimm
+		case pMulF64K:
+			ff[in.a] = ff[in.b] * in.fimm
 
 		case pMaddI64:
-			t := ii[in.b] * ii[in.c]
-			ii[in.a] = t
-			ii[in.d] = t + ii[in.imm]
+			ii[in.a] = ii[in.b]*ii[in.c] + ii[in.d]
 		case pMaddI32:
 			t := int64(int32(ii[in.b] * ii[in.c]))
-			ii[in.a] = t
-			ii[in.d] = int64(int32(t + ii[in.imm]))
+			ii[in.a] = int64(int32(t + ii[in.d]))
 		case pMaddF32L:
 			t := float64(float32(ff[in.b] * ff[in.c]))
-			ff[in.a] = t
-			ff[in.d] = float64(float32(t + ff[in.imm]))
+			ff[in.a] = float64(float32(t + ff[in.d]))
 		case pMaddF32R:
 			t := float64(float32(ff[in.b] * ff[in.c]))
-			ff[in.a] = t
-			ff[in.d] = float64(float32(ff[in.imm] + t))
+			ff[in.a] = float64(float32(ff[in.d] + t))
 		case pMaddF64L:
 			t := ff[in.b] * ff[in.c]
-			ff[in.a] = t
-			ff[in.d] = t + ff[in.imm]
+			ff[in.a] = t + ff[in.d]
 		case pMaddF64R:
 			t := ff[in.b] * ff[in.c]
-			ff[in.a] = t
-			ff[in.d] = ff[in.imm] + t
+			ff[in.a] = ff[in.d] + t
+		case pMaddKI64:
+			ii[in.a] = ii[in.c] + ii[in.b]*in.imm
 
 		case pCmpEqI:
 			if ii[in.b] == ii[in.c] {
@@ -785,6 +926,26 @@ func runPure(r *groupRunner, st *wiState, ins []pIns) error {
 			} else {
 				ii[in.a] = 0
 			}
+		case pCmpEqIK:
+			ii[in.a] = b2i(ii[in.b] == in.imm)
+		case pCmpNeIK:
+			ii[in.a] = b2i(ii[in.b] != in.imm)
+		case pCmpLtSK:
+			ii[in.a] = b2i(ii[in.b] < in.imm)
+		case pCmpLtUK:
+			ii[in.a] = b2i(uint64(ii[in.b]) < uint64(in.imm))
+		case pCmpLeSK:
+			ii[in.a] = b2i(ii[in.b] <= in.imm)
+		case pCmpLeUK:
+			ii[in.a] = b2i(uint64(ii[in.b]) <= uint64(in.imm))
+		case pCmpEqFK:
+			ii[in.a] = b2i(ff[in.b] == in.fimm)
+		case pCmpNeFK:
+			ii[in.a] = b2i(ff[in.b] != in.fimm)
+		case pCmpLtFK:
+			ii[in.a] = b2i(ff[in.b] < in.fimm)
+		case pCmpLeFK:
+			ii[in.a] = b2i(ff[in.b] <= in.fimm)
 
 		case pSelI:
 			if ii[in.b] != 0 {
@@ -877,6 +1038,7 @@ func genInline(in *ir.Instr) (pIns, bool) {
 	p := pIns{
 		a:    in.A,
 		b:    in.B,
+		c:    in.B,
 		d:    int32(in.Pos.Line),
 		base: uint8(in.Base),
 		size: uint16(in.Base.Size()),

@@ -15,10 +15,12 @@ import (
 // distributions, then confirm on repobench's end-to-end sweep.
 // `make bench-smoke` runs one iteration on every verify.
 //
-// The three kernels cover the execution profiles that dominate the
+// The four kernels cover the execution profiles that dominate the
 // paper's benchmarks: a multiply-accumulate loop (arithmetic pipe), a
-// gather over global memory (load/store pipe) and a local-memory
-// reduction with barriers (work-item switching).
+// strided sum over global memory (load/store pipe), a local-memory
+// reduction with barriers (work-item switching) and a CSR-style gather
+// through an index array, whose sign-extended, scaled index chains
+// front every access (spmv's inner loop).
 var engineBenchKernels = []struct {
 	name string
 	src  string
@@ -51,6 +53,15 @@ var engineBenchKernels = []struct {
 		}
 		out[lid] = acc;
 	}`},
+	{"gather", `__kernel void k(__global float* out, __global const float* in, const int n,
+	                            __global const int* colidx) {
+		int gid = get_global_id(0);
+		float acc = 0.0f;
+		for (int j = 0; j < n; j++) {
+			acc += in[j & 63] * in[colidx[(gid + j) & 63]];
+		}
+		out[gid & 63] = acc;
+	}`},
 }
 
 func benchmarkEngineKernel(b *testing.B, src string, eng vm.Engine) {
@@ -61,6 +72,7 @@ func benchmarkEngineKernel(b *testing.B, src string, eng vm.Engine) {
 	mem := newFlatMem(1024, nil)
 	for i := 0; i < 64; i++ {
 		mem.putF32(256+4*i, float32(i)*0.25)
+		mem.putI32(512+4*i, int32((i*37)&63)) // the gather kernel's colidx
 	}
 	cfg := &vm.GroupConfig{
 		Kernel:     prog.Kernel("k"),
@@ -71,6 +83,7 @@ func benchmarkEngineKernel(b *testing.B, src string, eng vm.Engine) {
 			{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)},
 			{Bits: ir.EncodeAddr(ir.SpaceGlobal, 256)},
 			{Bits: 100},
+			{Bits: ir.EncodeAddr(ir.SpaceGlobal, 512)}, // colidx; only gather declares it
 		},
 		Mem:    mem,
 		Engine: eng,

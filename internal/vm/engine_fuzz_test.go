@@ -17,7 +17,63 @@ import (
 // branches so work-items of one group take different paths), and a
 // barrier-in-loop shape (barriers inside a data-dependent loop so the
 // phase protocol runs a data-dependent number of times).
+//
+// A second selector, seed bits 40–47 mod 3, picks two later templates
+// before the first selector is consulted: a float shape and a gather
+// shape. It reads 0 for every seed that predates them, so those keep
+// their templates.
 func fuzzKernelSource(seed uint64, expr string) string {
+	switch (seed >> 40 & 0xFF) % 3 {
+	case 1: // float: immediates, moves, compares, selects and a loop-carried accumulator
+		return fmt.Sprintf(`__kernel void f(__global int* out, __global const int* in,
+		                                 const int a, const int b, const int idx) {
+			int gid = get_global_id(0);
+			int c = in[(gid + idx) & 3];
+			float x = (float)(c & 1023) * 0.25f;
+			float y = (float)a - 1.5f;
+			float m = 0.5f;
+			float acc = 0.0f;
+			float ftmp[4];
+			ftmp[gid & 3] = x;
+			for (int i = 0; i < (idx & 127); i++) {
+				float t = acc * 0.5f + x;
+				float s = (t < y) ? t : y - 2.0f;
+				if (s != 1.0f) { m = s; }
+				float2 p = (float2)(t, m);
+				float2 q = (float2)(y, 3.0f);
+				float2 v = (p <= q) ? p : q;
+				acc = t - v.y * 0.125f + ftmp[i & 3];
+				x = x + 1.0f;
+			}
+			float r = (acc <= 100.0f) ? acc : 100.0f;
+			out[gid] = (%s) + (int)(r * 8.0f) + (int)m + (int)ftmp[(b >> 8) & 7];
+		}`, expr)
+	case 2: // gather: long indices read through an index array, negative and overflowing
+		return fmt.Sprintf(`__kernel void f(__global int* out, __global const int* in,
+		                                 const int a, const int b, const int idx) {
+			int gid = get_global_id(0);
+			int c = in[gid & 3];
+			int tmp[4];
+			tmp[gid & 3] = c ^ a;
+			long s = 0;
+			for (int i = 0; i < ((idx & 63) + 1); i++) {
+				int j = in[(gid + i) & 3];
+				s += in[(long)((j ^ b) & 3)];
+				s += tmp[(long)(j & 3)] * 3;
+			}
+			if (idx & 64) {
+				long k = (long)in[idx & 3] >> (idx & 31);
+				s += in[k];
+			}
+			if (idx & 128) {
+				s += tmp[(long)(b * 65536)];
+			}
+			if (idx & 256) {
+				s += in[(long)a - 4];
+			}
+			out[gid] = (%s) + (int)s;
+		}`, expr)
+	}
 	switch (seed >> 1) % 3 {
 	case 1: // divergent control: branches + early loop exit keyed on gid
 		return fmt.Sprintf(`__kernel void f(__global int* out, __global const int* in,
@@ -117,6 +173,20 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint64(5), int32(11), int32(-4), int32(15))     // barrier-in-loop, max phases
 	f.Add(uint64(5), int32(0), int32(0), int32(0))        // barrier-in-loop, single phase
 	f.Add(uint64(11), int32(-1), int32(1), int32(0xFF04)) // barrier-in-loop into tmp[4] fault
+	// Float and gather seeds (second selector, seed bits 40–47): folded
+	// float immediates and compares, coalesced accumulator moves, fused
+	// index addresses in front of private and global faults, and the
+	// step limit tripping inside loop bodies whose runs drop
+	// instructions.
+	f.Add(uint64(1<<40|0x1234), int32(3), int32(0x100), int32(12))     // float, clean
+	f.Add(uint64(1<<40|0x0BADF00D), int32(-7), int32(0x700), int32(9)) // float, ftmp[7] private fault
+	f.Add(uint64(1<<40|7), int32(1<<30), int32(0), int32(127))         // float, step limit in the loop
+	f.Add(uint64(2<<40|0x0102030405), int32(1), int32(2), int32(15))   // gather, clean
+	f.Add(uint64(2<<40|0x7FFFFFFF), int32(0), int32(0), int32(64|1))   // gather, huge long index, global fault
+	f.Add(uint64(2<<40|5), int32(0), int32(0x7FFF), int32(128))        // gather, overflowing int index, private fault
+	f.Add(uint64(2<<40|9), int32(-100), int32(0), int32(256))          // gather, negative index wraps below global
+	f.Add(uint64(2<<40|0x33), int32(2), int32(1<<16), int32(128|3))    // gather, index overflows to 0, clean
+	f.Add(uint64(2<<40|0x5A5A5A5A), int32(5), int32(-9), int32(63))    // gather, step limit in the loop
 
 	f.Fuzz(func(t *testing.T, seed uint64, a, b, idx int32) {
 		g := &exprGen{seed: seed | 1}

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"maligo/internal/bench"
+	"maligo/internal/clc"
+	"maligo/internal/clc/builtin"
 	"maligo/internal/clc/ir"
 	"maligo/internal/clc/types"
 	"maligo/internal/vm"
@@ -52,12 +55,18 @@ func (o *streamObserver) ContextActive() bool { return true }
 // ordered callback stream.
 func runCompiledVsInterp(t *testing.T, src, kernel string, local int, args func(*flatMem) []vm.ArgValue, stepLimit uint64) {
 	t.Helper()
-	prog := mustCompile(t, src, "")
+	runKernelCompiledVsInterp(t, mustCompile(t, src, "").Kernel(kernel), local, args, stepLimit)
+}
+
+// runKernelCompiledVsInterp is runCompiledVsInterp for a kernel given
+// as IR.
+func runKernelCompiledVsInterp(t *testing.T, k *ir.Kernel, local int, args func(*flatMem) []vm.ArgValue, stepLimit uint64) {
+	t.Helper()
 	run := func(eng vm.Engine) ([]byte, vm.Profile, []streamEvent, error) {
 		mem := newFlatMem(4096, nil)
 		obs := &streamObserver{}
 		cfg := &vm.GroupConfig{
-			Kernel:     prog.Kernel(kernel),
+			Kernel:     k,
 			WorkDim:    1,
 			LocalSize:  [3]int{local, 1, 1},
 			GlobalSize: [3]int{local, 1, 1},
@@ -434,5 +443,116 @@ __kernel void tail(__global int* out) {
 				return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}}
 			}, 0)
 		})
+	}
+}
+
+// The compiled engine drops and coalesces register instructions by
+// whole-kernel liveness. The next three tests pin the liveness edges
+// that a block-local or over-eager analysis gets wrong: each would
+// drop a write whose value is still read, and the result would differ.
+
+// TestCompiledLiveAcrossBlocks: k is written in the entry block and
+// read only in the last one, after a loop and a branch.
+func TestCompiledLiveAcrossBlocks(t *testing.T) {
+	const src = `
+__kernel void crossblock(__global int* out, const int n) {
+	int gid = get_global_id(0);
+	int k = gid * 3 + 7;
+	int s = 0;
+	for (int i = 0; i < n; i++) { s += i ^ gid; }
+	if (gid & 1) { s -= 1; }
+	out[gid] = s + k;
+}
+`
+	runCompiledVsInterp(t, src, "crossblock", 16, func(m *flatMem) []vm.ArgValue {
+		return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}, {Bits: 5}}
+	}, 0)
+}
+
+// TestCompiledLiveAcrossBarrier: v is written before a barrier and read
+// after it, so the barrier must pass liveness through to the resumed
+// work-item.
+func TestCompiledLiveAcrossBarrier(t *testing.T) {
+	const src = `
+__kernel void acrossbar(__global int* out, __local int* tile) {
+	int lid = get_local_id(0);
+	int v = lid * 5 + 1;
+	float f = (float)lid * 0.5f;
+	tile[lid] = lid;
+	barrier(CLK_LOCAL_MEM_FENCE);
+	out[lid] = v + tile[(lid + 1) & 7] + (int)(f * 4.0f);
+}
+`
+	runCompiledVsInterp(t, src, "acrossbar", 8, func(m *flatMem) []vm.ArgValue {
+		return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}, {LocalSize: 8 * 4}}
+	}, 0)
+}
+
+// TestCompiledOverWideCallDef: dot and length name their operand width
+// on the instruction, so ir.Def reports four lanes, but they write one.
+// f5 and f7 sit inside those over-wide ranges and are live across the
+// calls; if a CallB def killed them, their immediates would be dropped.
+// The front end allocates a call's result above every earlier register,
+// so the kernel is built as IR.
+func TestCompiledOverWideCallDef(t *testing.T) {
+	fl := func(in ir.Instr) ir.Instr { in.Base = types.Float; return in }
+	k := &ir.Kernel{
+		Name:   "overwide",
+		Params: []ir.Param{{Name: "out", Class: ir.ParamGlobalPtr, Slot: 0}},
+		Code: []ir.Instr{
+			fl(ir.Instr{Op: ir.ImmF, A: 0, FImm: 1.5, Width: 4}),
+			fl(ir.Instr{Op: ir.ImmF, A: 5, FImm: 7.25}),
+			fl(ir.Instr{Op: ir.ImmF, A: 7, FImm: -3.5}),
+			fl(ir.Instr{Op: ir.CallB, A: 4, B: 0, C: 0, Imm: int64(builtin.Dot), Width: 4}),
+			fl(ir.Instr{Op: ir.CallB, A: 6, B: 0, Imm: int64(builtin.Length), Width: 4}),
+			fl(ir.Instr{Op: ir.AddF, A: 8, B: 4, C: 5}),
+			fl(ir.Instr{Op: ir.AddF, A: 9, B: 6, C: 7}),
+			fl(ir.Instr{Op: ir.AddF, A: 10, B: 8, C: 9}),
+			fl(ir.Instr{Op: ir.StoreF, A: 10, B: 0}),
+			{Op: ir.Ret},
+		},
+		NumI: 1,
+		NumF: 11,
+	}
+	args := func(m *flatMem) []vm.ArgValue {
+		return []vm.ArgValue{{Bits: ir.EncodeAddr(ir.SpaceGlobal, 0)}}
+	}
+	runKernelCompiledVsInterp(t, k, 1, args, 0)
+
+	mem := newFlatMem(64, nil)
+	var prof vm.Profile
+	if err := vm.RunGroup(&vm.GroupConfig{
+		Kernel: k, WorkDim: 1, LocalSize: [3]int{1, 1, 1}, GlobalSize: [3]int{1, 1, 1},
+		Args: args(mem), Mem: mem, Engine: vm.EngineCompiled,
+	}, &prof); err != nil {
+		t.Fatal(err)
+	}
+	// dot = 4·1.5² = 9, length = sqrt(9) = 3: 9+7.25 + 3-3.5 = 15.75.
+	if got := mem.getF32(0); got != 15.75 {
+		t.Fatalf("out[0] = %v, want 15.75", got)
+	}
+}
+
+// TestCompiledRunsElide compiles every kernel of the nine benchmarks at
+// both precisions and requires the compiled runs to dispatch at most
+// three quarters of the IR instructions they count.
+func TestCompiledRunsElide(t *testing.T) {
+	for _, prec := range []bench.Precision{bench.F32, bench.F64} {
+		slots, elided := 0, 0
+		for _, b := range bench.All() {
+			prog, err := clc.Compile(b.Name()+".cl", b.Source(), prec.BuildOptions())
+			if err != nil {
+				t.Fatalf("%s %v: %v", b.Name(), prec, err)
+			}
+			for _, name := range prog.KernelNames() {
+				c := vm.CompileKernel(prog.Kernel(name))
+				slots += c.RunSlots()
+				elided += c.Elided()
+			}
+		}
+		t.Logf("%v: %d of %d run slots elided or fused (%.1f%%)", prec, elided, slots, 100*float64(elided)/float64(slots))
+		if elided*4 < slots {
+			t.Errorf("%v: %d of %d run slots elided or fused, want at least 25%%", prec, elided, slots)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,8 +27,20 @@ func (m *flatMem) space(s int) []byte {
 	return m.global
 }
 
+// inBounds faults an access outside the space the way a real memory
+// does, so fuzzed kernels can reach the global fault path.
+func inBounds(mem []byte, off int64, size int) error {
+	if off < 0 || off+int64(size) > int64(len(mem)) {
+		return fmt.Errorf("flatmem: %d-byte access at %d outside %d bytes", size, off, len(mem))
+	}
+	return nil
+}
+
 func (m *flatMem) LoadBits(space int, off int64, size int) (uint64, error) {
 	mem := m.space(space)
+	if err := inBounds(mem, off, size); err != nil {
+		return 0, err
+	}
 	var v uint64
 	for i := size - 1; i >= 0; i-- {
 		v = v<<8 | uint64(mem[off+int64(i)])
@@ -37,6 +50,9 @@ func (m *flatMem) LoadBits(space int, off int64, size int) (uint64, error) {
 
 func (m *flatMem) StoreBits(space int, off int64, size int, bits uint64) error {
 	mem := m.space(space)
+	if err := inBounds(mem, off, size); err != nil {
+		return err
+	}
 	for i := 0; i < size; i++ {
 		mem[off+int64(i)] = byte(bits >> (8 * uint(i)))
 	}
